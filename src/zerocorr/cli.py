@@ -124,7 +124,7 @@ def cmd_correlate(args):
         samples=args.samples, seed=args.seed,
     )
     value, err = kac_rice.correlation(query)
-    normalized, nerr = kac_rice.normalized_correlation(query)
+    normalized = value / kac_rice.one_point_density(model, args.k) ** args.n
     header = ["model", "n", "k", "m", "points", "K", "K_normalized", "stderr"]
     rows = [(
         args.model, args.n, args.k, args.m,

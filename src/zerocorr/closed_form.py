@@ -12,7 +12,6 @@ from itertools import product
 import numpy as np
 
 from .errors import DomainError, MissingSubset, SizeLimitExceeded
-from .kernels import FubiniStudy, HeisenbergLevel, HeisenbergLimit
 from .linalg import set_partitions
 
 # Switch radii between the closed forms and their small-distance series.
@@ -22,6 +21,9 @@ from .linalg import set_partitions
 SERIES_SWITCH_T_K1 = 0.05
 SERIES_SWITCH_R_K22 = 0.2
 SERIES_SWITCH_R_K2 = 0.1
+# Beyond this radius the closed forms equal their two-term asymptote to
+# rounding (the remainder is below 1e-50), and past r ~ 13 they overflow.
+ASYMPTOTE_SWITCH_R = 8.0
 
 
 def _series_terms_k1(m):
@@ -69,8 +71,8 @@ def _series_terms_k2(m):
 
 
 def _check_kappa_args(r, m, k):
-    if r < 0:
-        raise DomainError("distance r must be nonnegative")
+    if not 0 <= r < math.inf:
+        raise DomainError("distance r must be finite and nonnegative")
     if k not in (1, 2):
         raise DomainError("closed forms are available for k in {1, 2}")
     if k > m:
@@ -124,6 +126,8 @@ def _kappa2_closed(r, m):
 def kappa(r, m, k=1):
     """Limit pair correlation of simultaneous zeros at scaled distance r."""
     _check_kappa_args(r, m, k)
+    if r > ASYMPTOTE_SWITCH_R:
+        return kappa_asymptote(r, m, k)
     if k == 1:
         if r * r / 2.0 < SERIES_SWITCH_T_K1:
             return kappa_series(r, m, k)
@@ -144,7 +148,10 @@ def kappa_asymptote(r, m, k=1):
     """
     _check_kappa_args(r, m, k)
     u = r * r
-    poly = (u * u - 2 * (m + 1) * u + m * (m + 1)) * math.exp(-u) / (m * m)
+    decay = math.exp(-u)
+    if decay == 0.0:  # u > 745: the correction is below 1e-300
+        return 1.0
+    poly = (u * u - 2 * (m + 1) * u + m * (m + 1)) * decay / (m * m)
     if k == 1:
         return 1.0 + poly
     return 1.0 + 2.0 * poly
@@ -156,11 +163,7 @@ def density(model, k):
     if not 1 <= k <= m:
         raise DomainError("codimension k must satisfy 1 <= k <= m")
     base = math.factorial(m) / (math.factorial(m - k) * math.pi ** k)
-    if isinstance(model, (FubiniStudy, HeisenbergLevel)):
-        return model.N ** k * base
-    if isinstance(model, HeisenbergLimit):
-        return base
-    raise TypeError(f"unknown kernel model {model!r}")
+    return model.N ** k * base
 
 
 def _normalize_kvalues(kvalues, n):

@@ -5,14 +5,13 @@ coefficients, extracts their roots, and estimates the scaled pair
 correlation of the root process for comparison against the closed form.
 """
 
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.special import gammaln
 
 from .errors import InsufficientDegree, RootFindingFailed, WindowTooLarge
+from .gaussian import philox
 
 MAX_WINDOW = 5.0
 LIMIT_INTENSITY = 1.0 / np.pi  # zeros per unit area in scaled coordinates
@@ -22,16 +21,8 @@ CERTIFICATE_FACTORS = (1.5, 1.3, 1.8)  # certificate radius over window radius, 
 
 
 def worker_count():
-    """Worker cap: ZEROCORR_THREADS if set, otherwise all cores."""
-    cap = os.environ.get("ZEROCORR_THREADS")
-    cores = os.cpu_count() or 1
-    if cap is None:
-        return cores
-    return max(1, min(int(cap), cores))
-
-
-def _rng(seed, stream):
-    return np.random.Generator(np.random.Philox(key=[seed, stream]))
+    """Workers of the empirical estimator: 1, since it runs serially."""
+    return 1
 
 
 @dataclass(frozen=True)
@@ -52,7 +43,7 @@ def sample_su2_polynomial(N, seed, stream=0):
         raise ValueError("degree must satisfy 2 <= N <= 2000")
     j = np.arange(N + 1)
     half_log_binom = 0.5 * (gammaln(N + 1) - gammaln(j + 1) - gammaln(N - j + 1))
-    rng = _rng(seed, stream)
+    rng = philox(seed, stream)
     g = rng.normal(scale=np.sqrt(0.5), size=(N + 1, 2))
     c = g[:, 0] + 1j * g[:, 1]
     return PolynomialSample(degree=N, coeffs=np.exp(half_log_binom) * c)
@@ -252,7 +243,7 @@ def _sample_chart_points(N, seed, stream, window, process):
     if process == "poisson":
         # Calibration input: uniform points at the limit intensity with
         # respect to the model volume of the window cap.
-        rng = _rng(seed, stream)
+        rng = philox(seed, stream)
         expected = LIMIT_INTENSITY * _cap_area(window, N)
         count = rng.poisson(expected)
         # Radial inverse CDF of the uniform law on the cap, chart radius t:
@@ -315,10 +306,11 @@ def pair_correlation_estimate(N, samples, window, bins, seed, process="roots"):
         raise InsufficientDegree(f"need N >= 25 * window^2 = {25 * window ** 2:.0f}")
 
     nbins = len(bins) - 1
-
     chart_core = np.tan(core_radius / np.sqrt(N))
-
-    def one_sample(index):
+    counts = np.zeros(nbins, dtype=np.int64)
+    sumsq = np.zeros(nbins, dtype=float)
+    total_roots = 0
+    for index in range(samples):
         points, total = _sample_chart_points(N, seed, index, window, process)
         local = np.zeros(nbins, dtype=np.int64)
         if len(points) >= 2:
@@ -327,17 +319,10 @@ def pair_correlation_estimate(N, samples, window, bins, seed, process="roots"):
                 dists = _scaled_geodesic(N, points[core_index], points)
                 dists[np.arange(len(core_index)), core_index] = -1.0  # drop self-pairs
                 flat = dists[(dists >= bins[0]) & (dists < r_max)]
-                local += np.histogram(flat, bins=bins)[0]
-        return local, total
-
-    counts = np.zeros(nbins, dtype=np.int64)
-    sumsq = np.zeros(nbins, dtype=float)
-    total_roots = 0
-    with ThreadPoolExecutor(max_workers=worker_count()) as pool:
-        for local, total in pool.map(one_sample, range(samples)):
-            counts += local
-            sumsq += local.astype(float) ** 2
-            total_roots += total
+                local = np.histogram(flat, bins=bins)[0]
+        counts += local
+        sumsq += local.astype(float) ** 2
+        total_roots += total
 
     area_core = _cap_area(core_radius, N)
     area_annuli = _cap_area(bins[1:], N) - _cap_area(bins[:-1], N)

@@ -57,8 +57,18 @@ def wick_mixed_moment(spec, holo, anti):
     return permanent(sub)
 
 
-def _philox(seed, stream=0):
+def philox(seed, stream=0):
+    """Counter-based generator for one (seed, stream) pair."""
     return np.random.Generator(np.random.Philox(key=[seed, stream]))
+
+
+def _gaussian_chunks(low, count, seed):
+    """Draws of CN(0, low low*) in chunks of MC_CHUNK rows, chunk i from stream i."""
+    dim = low.shape[0]
+    for chunk_index, start in enumerate(range(0, count, MC_CHUNK)):
+        rng = philox(seed, chunk_index)
+        g = rng.normal(scale=np.sqrt(0.5), size=(min(MC_CHUNK, count - start), dim, 2))
+        yield (g[..., 0] + 1j * g[..., 1]) @ low.T
 
 
 def sample_complex_gaussian(spec, count, seed):
@@ -70,14 +80,7 @@ def sample_complex_gaussian(spec, count, seed):
     """
     if count < 1:
         raise ValueError("count must be >= 1")
-    low = cholesky(spec.covariance)
-    out = np.empty((count, spec.dim), dtype=complex)
-    for chunk_index, start in enumerate(range(0, count, MC_CHUNK)):
-        stop = min(start + MC_CHUNK, count)
-        rng = _philox(seed, chunk_index)
-        g = rng.normal(scale=np.sqrt(0.5), size=(stop - start, spec.dim, 2))
-        out[start:stop] = (g[..., 0] + 1j * g[..., 1]) @ low.T
-    return out
+    return np.concatenate(list(_gaussian_chunks(cholesky(spec.covariance), count, seed)))
 
 
 def _jet_index(p, j, q, k, m):
@@ -141,21 +144,12 @@ def expectation_det_product(lam, n, k, m, method="exact", samples=10 ** 6, seed=
         return value.real, 0.0
     if method != "monte_carlo":
         raise ValueError(f"unknown method {method!r}")
-    low = cholesky(lam)
     total = 0.0
     total_sq = 0.0
-    done = 0
-    chunk_index = 0
-    while done < samples:
-        count = min(MC_CHUNK, samples - done)
-        rng = _philox(seed, chunk_index)
-        g = rng.normal(scale=np.sqrt(0.5), size=(count, n * k * m, 2))
-        draws = (g[..., 0] + 1j * g[..., 1]) @ low.T
+    for draws in _gaussian_chunks(cholesky(lam), samples, seed):
         values = _det_product_samples(draws, n, k, m)
         total += values.sum()
         total_sq += (values ** 2).sum()
-        done += count
-        chunk_index += 1
     mean = total / samples
     variance = max(total_sq / samples - mean ** 2, 0.0)
     return mean, np.sqrt(variance / samples)

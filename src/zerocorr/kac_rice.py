@@ -15,7 +15,7 @@ import numpy as np
 from . import closed_form
 from .errors import NearSingular, SizeLimitExceeded
 from .gaussian import expectation_det_product
-from .kernels import FubiniStudy, HeisenbergLevel, HeisenbergLimit, fs_metric, kernel_jet
+from .kernels import FubiniStudy, fs_metric, kernel_jet
 from .linalg import cholesky, determinant, hermitian_solve
 
 MIN_SCALED_SEPARATION = 1e-3
@@ -55,9 +55,7 @@ class CorrelationQuery:
 def _check_separation(model, points):
     if len(points) < 2:
         return
-    guard = MIN_SCALED_SEPARATION
-    if isinstance(model, (FubiniStudy, HeisenbergLevel)):
-        guard = MIN_SCALED_SEPARATION / np.sqrt(model.N)
+    guard = MIN_SCALED_SEPARATION / np.sqrt(model.N)
     for i in range(len(points)):
         for j in range(i + 1, len(points)):
             sep = np.linalg.norm(points[i] - points[j])
@@ -80,30 +78,23 @@ class CovarianceBlocks:
 def assemble_blocks(query):
     """Populate the value/derivative covariance blocks from kernel jets.
 
-    The section at each point is normalized to unit variance (each jet
-    entry is divided by sqrt(S(z^p, z^p) S(z^p', z^p'))).  The correlation
-    is exactly invariant under this per-point rescaling, and it keeps the
-    value block well conditioned for widely separated points, where the
-    raw kernel diagonal grows exponentially.
+    The jets are those of the normalized kernel in the unitary frame, so
+    the value block has a unit diagonal and no entry grows with the
+    points' modulus or separation.  The correlation is exactly invariant
+    under this per-point rescaling and under the connection terms, which
+    add multiples of the values to the derivatives.
     """
     model = query.model
     n, m = query.n, model.m
-    scale = np.array(
-        [
-            1.0 / np.sqrt(kernel_jet(model, p, p).s.real)
-            for p in query.points
-        ]
-    )
     a = np.zeros((n, n), dtype=complex)
     b = np.zeros((n, n * m), dtype=complex)
     c = np.zeros((n * m, n * m), dtype=complex)
     for p in range(n):
         for pp in range(n):
             jet = kernel_jet(model, query.points[p], query.points[pp])
-            factor = scale[p] * scale[pp]
-            a[p, pp] = jet.s * factor
-            b[p, pp * m:(pp + 1) * m] = jet.grad * factor
-            c[p * m:(p + 1) * m, pp * m:(pp + 1) * m] = jet.hess * factor
+            a[p, pp] = jet.s
+            b[p, pp * m:(pp + 1) * m] = jet.grad
+            c[p * m:(p + 1) * m, pp * m:(pp + 1) * m] = jet.hess
     return CovarianceBlocks(a=a, b=b, c=c, k=query.k)
 
 

@@ -4,7 +4,9 @@ import json
 
 import pytest
 
+from zerocorr import kac_rice
 from zerocorr.cli import main, parse_grid, parse_points
+from zerocorr.kernels import FubiniStudy
 
 
 def run_cli(capsys, *args):
@@ -82,6 +84,27 @@ class TestCorrelateCommand:
         row = out.strip().split("\n")[1].split(",")
         normalized = float(row[6])
         assert normalized == pytest.approx(0.4735538040324709659, abs=1e-10)
+
+    def test_correlates_once(self, capsys, monkeypatch):
+        # K_normalized is K over the n-th power of the density, not a second
+        # evaluation.
+        calls = []
+        original = kac_rice.correlation
+
+        def counted(query):
+            calls.append(query)
+            return original(query)
+
+        monkeypatch.setattr(kac_rice, "correlation", counted)
+        code, out, _ = run_cli(
+            capsys, "correlate", "--model", "fs", "--N", "7", "--m", "2",
+            "--n", "2", "--r", "0.3", "--format", "json",
+        )
+        assert code == 0
+        (row,) = json.loads(out)
+        assert len(calls) == 1
+        rho = kac_rice.one_point_density(FubiniStudy(7, 2), 1)
+        assert row["K_normalized"] == row["K"] / rho ** 2
 
     def test_numeric_failure_exit_code(self, capsys):
         code, out, err = run_cli(

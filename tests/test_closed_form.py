@@ -106,6 +106,19 @@ class TestAsymptotes:
         assert res[1] < res[0] * math.exp(-(3.5 ** 2 - 3.0 ** 2)) * 10.0
 
 
+    def test_no_overflow_past_switch(self):
+        # The closed forms overflow (or give NaN) here; the asymptote is exact
+        # to rounding.
+        for r, m, k in [(21.76, 3, 1), (21.8, 1, 1), (13.35, 2, 2)]:
+            assert kappa(r, m, k) == kappa_asymptote(r, m, k)
+        for r in np.linspace(5.0, 40.0, 71):
+            for m, k in [(1, 1), (2, 1), (3, 1), (2, 2), (3, 2)]:
+                value = kappa(r, m, k)
+                assert math.isfinite(value)
+                assert abs(value - kappa_asymptote(r, m, k)) <= 1e-6
+        assert kappa(1e200, 2, 2) == 1.0  # r^2 overflows to inf
+
+
 class TestDensities:
     def test_fs(self):
         assert density(FubiniStudy(10, 1), 1) == pytest.approx(10 / math.pi)
@@ -130,6 +143,11 @@ class TestDomainChecks:
     def test_negative_distance(self):
         with pytest.raises(DomainError):
             kappa(-1.0, 1, 1)
+
+    @pytest.mark.parametrize("r", [math.inf, math.nan])
+    def test_non_finite_distance(self, r):
+        with pytest.raises(DomainError):
+            kappa(r, 1, 1)
 
     def test_k2_requires_m2(self):
         with pytest.raises(DomainError):

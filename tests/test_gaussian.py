@@ -7,6 +7,7 @@ import pytest
 
 from zerocorr.errors import SizeLimitExceeded
 from zerocorr.gaussian import (
+    MC_CHUNK,
     GaussianSpec,
     expectation_det_product,
     sample_complex_gaussian,
@@ -121,6 +122,18 @@ class TestDetProductExpectation:
         b = expectation_det_product(lam, 2, 1, 1, method="monte_carlo",
                                     samples=50000, seed=12)
         assert a == b
+
+    def test_monte_carlo_uses_sampler_draws(self):
+        # The Monte Carlo mean averages the draws sample_complex_gaussian
+        # makes from the same seed, across a chunk boundary.
+        n, k, m = 2, 1, 2
+        lam = random_hpd(n * k * m, seed=13)
+        samples = MC_CHUNK + 500
+        draws = sample_complex_gaussian(GaussianSpec(lam), samples, seed=14)
+        per_point = (np.abs(draws.reshape(samples, n, m)) ** 2).sum(axis=2)
+        mc, _ = expectation_det_product(lam, n, k, m, method="monte_carlo",
+                                        samples=samples, seed=14)
+        assert mc == pytest.approx(per_point.prod(axis=1).mean(), rel=1e-12)
 
     def test_exact_size_cap(self):
         with pytest.raises(SizeLimitExceeded):

@@ -51,6 +51,29 @@ def finite_difference_jet(kernel, z, w, h=1e-5):
     return grad, hess
 
 
+def normalized_reference(kernel, phi_prime, z, w):
+    """Unitary-frame (grad, hess) mapped from the raw kernel's finite-difference jet.
+
+    The value is normalized by sqrt(S(z, z) S(w, w)), and the Chern
+    connection subtracts phi'(|z|^2) conj(z) and phi'(|w|^2) w times the
+    value from the z and conj(w) derivatives.  The z derivative of S(z, w)
+    is the conjugate of the conj(w) derivative of S(w, z).
+    """
+    z = np.asarray(z, dtype=complex)
+    w = np.asarray(w, dtype=complex)
+    grad, hess = finite_difference_jet(kernel, z, w)
+    grad_z = finite_difference_jet(kernel, w, z)[0].conj()
+    value = kernel(z, w)
+    norm = np.sqrt((kernel(z, z) * kernel(w, w)).real)
+    cz = phi_prime(np.vdot(z, z).real) * z.conj()
+    cw = phi_prime(np.vdot(w, w).real) * w
+    grad_cov = (grad - cw * value) / norm
+    hess_cov = (
+        hess - np.outer(cz, grad) - np.outer(grad_z, cw) + np.outer(cz, cw) * value
+    ) / norm
+    return grad_cov, hess_cov
+
+
 class TestJetValues:
     @pytest.mark.parametrize("m", [1, 2, 3, 4])
     def test_limit_at_origin(self, m):
@@ -84,19 +107,16 @@ class TestJetValues:
         assert errs[1] < errs[0] / 3.0
 
     def test_level_one_heisenberg_matches_limit_shape(self):
-        # At N=1 the level kernel is the flat kernel times the Gaussian
-        # weight and the 1/pi^m normalization.
+        # The flat limit model is the level-1 model: normalized jets agree
+        # exactly.
         m = 2
         z = np.array([0.3 + 0.1j, -0.2j])
         w = np.array([0.1, 0.4 - 0.2j])
         lvl = kernel_jet(HeisenbergLevel(1, m), z, w)
         lim = kernel_jet(HeisenbergLimit(m), z, w)
-        weight = np.exp(
-            -0.5 * np.vdot(z, z).real - 0.5 * np.vdot(w, w).real
-        ) / np.pi ** m
-        assert np.isclose(lvl.s, lim.s * weight, rtol=1e-13)
-        assert np.allclose(lvl.grad, lim.grad * weight, rtol=1e-13)
-        assert np.allclose(lvl.hess, lim.hess * weight, rtol=1e-13)
+        assert np.isclose(lvl.s, lim.s, rtol=1e-13)
+        assert np.allclose(lvl.grad, lim.grad, rtol=1e-13)
+        assert np.allclose(lvl.hess, lim.hess, rtol=1e-13)
 
 
 class TestJetDerivatives:
@@ -109,7 +129,7 @@ class TestJetDerivatives:
         def kernel(zz, ww):
             return np.exp(zz @ ww.conj())
 
-        grad, hess = finite_difference_jet(kernel, z, w)
+        grad, hess = normalized_reference(kernel, lambda t: 1.0, z, w)
         jet = kernel_jet(HeisenbergLimit(m), z, w)
         assert np.allclose(jet.grad, grad, rtol=1e-7, atol=1e-7)
         assert np.allclose(jet.hess, hess, rtol=1e-6, atol=1e-6)
@@ -124,15 +144,14 @@ class TestJetDerivatives:
         def kernel(zz, ww):
             return (1.0 + zz @ ww.conj()) ** N
 
-        grad, hess = finite_difference_jet(kernel, z, w)
+        grad, hess = normalized_reference(kernel, lambda t: N / (1.0 + t), z, w)
         jet = kernel_jet(FubiniStudy(N, m), z, w)
         assert np.allclose(jet.grad, grad, rtol=1e-7, atol=1e-7)
         assert np.allclose(jet.hess, hess, rtol=1e-6, atol=1e-6)
 
     def test_heisenberg_level_finite_difference(self):
-        # Divide out the non-holomorphic Gaussian weight before
-        # differencing: the jets use right-invariant derivatives, which act
-        # on the holomorphic factor exp(N z.conj(w)) only.
+        # The raw level-N kernel is exp(N z.conj(w)); normalizing it
+        # leaves the Gaussian weight exp(-N |z - w|^2 / 2) in modulus.
         N, m = 3, 2
         rng = np.random.default_rng(30)
         z = 0.5 * (rng.normal(size=m) + 1j * rng.normal(size=m))
@@ -141,15 +160,13 @@ class TestJetDerivatives:
         def kernel(zz, ww):
             return np.exp(N * (zz @ ww.conj()))
 
-        grad, hess = finite_difference_jet(kernel, z, w)
-        weight = (N ** m / np.pi ** m) * np.exp(
-            -0.5 * N * np.vdot(z, z).real - 0.5 * N * np.vdot(w, w).real
-        )
+        grad, hess = normalized_reference(kernel, lambda t: N, z, w)
+        weight = np.exp(-0.5 * N * np.vdot(z, z).real - 0.5 * N * np.vdot(w, w).real)
         jet = kernel_jet(HeisenbergLevel(N, m), z, w)
         holo = np.exp(N * (z @ w.conj()))
         assert np.isclose(jet.s, weight * holo, rtol=1e-12)
-        assert np.allclose(jet.grad / weight, grad, rtol=1e-6, atol=1e-6)
-        assert np.allclose(jet.hess / weight, hess, rtol=1e-5, atol=1e-5)
+        assert np.allclose(jet.grad, grad, rtol=1e-6, atol=1e-6)
+        assert np.allclose(jet.hess, hess, rtol=1e-5, atol=1e-5)
 
 
 class TestScaledSzego:
