@@ -7,6 +7,7 @@ Exit codes: 0 success, 1 numeric failure, 2 usage error.
 import argparse
 import json
 import sys
+from itertools import combinations
 
 import numpy as np
 
@@ -215,8 +216,6 @@ def cmd_connected(args):
     kvalues = {}
     indices = list(range(1, n + 1))
     for size in range(2, n + 1):
-        from itertools import combinations
-
         for subset in combinations(indices, size):
             sub_points = tuple(points[i - 1] for i in subset)
             query = kac_rice.CorrelationQuery(

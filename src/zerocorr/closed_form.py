@@ -89,18 +89,19 @@ def kappa_series(r, m, k=1, order=None):
     """Truncated small-distance series of the pair correlation.
 
     ``order`` limits the number of leading printed terms; by default all
-    printed terms are used.
+    printed terms are used.  Raises DomainError where the truncated sum
+    is not a finite float (huge r, or a negative power of a tiny r).
     """
     _check_kappa_args(r, m, k)
-    if k == 1:
-        terms = _series_terms_k1(m)
-        x = r * r / 2.0
-    else:
-        terms = _series_terms_k2(m)
-        x = r
+    terms = _series_terms_k1(m) if k == 1 else _series_terms_k2(m)
     if order is not None:
         terms = terms[:order]
-    return float(sum(float(c) * x ** p for c, p in terms if c != 0))
+    with np.errstate(all="ignore"):
+        x = np.float64(r) * r / 2.0 if k == 1 else np.float64(r)
+        value = float(sum(float(c) * x ** p for c, p in terms if c != 0))
+    if not math.isfinite(value):
+        raise DomainError(f"the truncated series is not finite at r = {r!r}")
+    return value
 
 
 def _kappa1_closed(r, m):

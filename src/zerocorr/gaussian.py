@@ -2,12 +2,12 @@
 
 Mixed moments are reduced to permanents of covariance submatrices, and
 the determinant-product expectation at the heart of the zero-correlation
-formula is evaluated either exactly (permutation expansion plus
-permanents) or by vectorized Monte Carlo with a counter-based RNG.
+formula is evaluated either exactly (a Wick sum of traces of covariance
+block products) or by vectorized Monte Carlo with a counter-based RNG.
 """
 
 from dataclasses import dataclass
-from itertools import permutations, product
+from itertools import combinations, permutations, product
 
 import numpy as np
 
@@ -83,35 +83,34 @@ def sample_complex_gaussian(spec, count, seed):
     return np.concatenate(list(_gaussian_chunks(cholesky(spec.covariance), count, seed)))
 
 
-def _jet_index(p, j, q, k, m):
-    return (p * k + j) * m + q
-
-
 def _exact_expectation(lam, n, k, m):
-    spec = GaussianSpec(lam)
-    perms = list(permutations(range(k)))
-    signs = {}
-    for sigma in perms:
-        sign = 1
-        for i in range(k):
-            for j in range(i + 1, k):
-                if sigma[i] > sigma[j]:
-                    sign = -sign
-        signs[sigma] = sign
-    q_choices = list(product(range(m), repeat=k))
+    # Label x = p k + j (row j of point p) indexes the m x m blocks of lam.
+    # Each det(a_p a_p*) expands over sigma_p in S_k, Wick pairs a_x with
+    # conj(a_rho(x)), and the column sums close along the cycles of
+    # pi = sigma^-1 rho into block traces.  Zero blocks prune the pairings.
+    GaussianSpec(lam)  # rejects non-square or non-Hermitian lam
+    size = n * k
+    blocks = lam.reshape(size, m, size, m).transpose(0, 2, 1, 3)
+    linked = np.any(blocks != 0, axis=(2, 3))
+    pairings = [rho for rho in permutations(range(size))
+                if all(linked[x, y] for x, y in enumerate(rho))]
     total = 0.0 + 0.0j
-    # One factor per point: det(a a*) = sum over sigma, (q_1..q_k) of
-    # sgn(sigma) prod_j a[j, q_j] conj(a[sigma(j), q_j]).
-    for assignment in product(product(perms, q_choices), repeat=n):
-        sign = 1
-        holo = []
-        anti = []
-        for p, (sigma, qs) in enumerate(assignment):
-            sign *= signs[sigma]
-            for j in range(k):
-                holo.append(_jet_index(p, j, qs[j], k, m))
-                anti.append(_jet_index(p, sigma[j], qs[j], k, m))
-        total += sign * wick_mixed_moment(spec, holo, anti)
+    for sigmas in product(permutations(range(k)), repeat=n):
+        inverse = [p * k + perm.index(j) for p, perm in enumerate(sigmas) for j in range(k)]
+        sign = (-1) ** sum(a > b for a, b in combinations(inverse, 2))
+        for rho in pairings:
+            pi = [inverse[y] for y in rho]
+            term = sign
+            unseen = set(range(size))
+            while unseen:
+                x = unseen.pop()
+                chain = blocks[x, rho[x]]
+                while pi[x] in unseen:
+                    x = pi[x]
+                    unseen.remove(x)
+                    chain = chain @ blocks[x, rho[x]]
+                term *= np.trace(chain)
+            total += term
     return total
 
 
@@ -126,9 +125,11 @@ def expectation_det_product(lam, n, k, m, method="exact", samples=10 ** 6, seed=
     """<prod_p det(sum_q a^p_jq conj(a^p_j'q))> for a ~ CN(0, lam).
 
     ``lam`` is the (n*k*m)-sized Hermitian PD covariance indexed by
-    (p, j, q) flattened in that order.  The exact method expands each
-    determinant over permutations and q-assignments and sums Wick
-    permanents; it requires k*n <= 8.  Monte Carlo returns a sample mean.
+    (p, j, q) flattened in that order.  The exact method sums, over row
+    permutations and Wick pairings of the (p, j) rows, traces of products
+    of m x m blocks of ``lam``; pairings through a zero block are skipped,
+    so k independent sections cost (n!)^k (k!)^n terms.  It requires
+    k*n <= 8 and m <= 4.  Monte Carlo returns a sample mean.
 
     Returns (value, standard_error); the exact path reports 0.0 error.
     """

@@ -28,25 +28,23 @@ def cholesky(a):
     """Lower-triangular L with L @ L.conj().T == a for Hermitian PD a.
 
     The diagonal of L is real positive.  Raises NotPositiveDefinite when a
-    pivot falls below 1e-14 times the largest diagonal entry of a.
+    pivot falls below 1e-14 times the largest diagonal entry of a (or 1,
+    if larger), or when LAPACK finds the matrix indefinite.
     """
     a = np.asarray(a, dtype=complex)
     n = a.shape[0]
     if a.shape != (n, n):
         raise ValueError("cholesky requires a square matrix")
-    floor = 1e-14 * max(np.abs(np.diag(a)).max(), 1.0) if n else 0.0
-    low = np.zeros((n, n), dtype=complex)
-    for j in range(n):
-        pivot = (a[j, j] - np.vdot(low[j, :j], low[j, :j])).real
-        if pivot <= floor:
-            raise NotPositiveDefinite(
-                f"pivot {pivot:.3e} at index {j} below threshold {floor:.3e}"
-            )
-        low[j, j] = np.sqrt(pivot)
-        if j + 1 < n:
-            low[j + 1:, j] = (
-                a[j + 1:, j] - low[j + 1:, :j] @ low[j, :j].conj()
-            ) / low[j, j]
+    try:
+        low = np.linalg.cholesky(a)
+    except np.linalg.LinAlgError as exc:
+        raise NotPositiveDefinite(f"LAPACK factorization failed: {exc}") from None
+    floor = 1e-14 * max(np.abs(np.diag(a)).max(initial=0.0), 1.0)
+    pivots = np.diag(low).real ** 2
+    bad = np.flatnonzero(pivots <= floor)
+    if bad.size:
+        raise NotPositiveDefinite(f"pivot {pivots[bad[0]]:.3e} at index {bad[0]} "
+                                  f"below threshold {floor:.3e}")
     return low
 
 

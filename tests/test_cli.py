@@ -74,6 +74,15 @@ class TestKappaCommand:
         assert text.startswith("r,kappa")
 
 
+class TestKappaSeriesOverflow:
+    def test_exits_1_without_traceback(self, capsys):
+        code, out, err = run_cli(capsys, "kappa", "--m", "1", "--r", "1..1e30:2")
+        assert code == 1
+        assert out == ""
+        assert err.startswith("DomainError:")
+        assert "Traceback" not in err
+
+
 class TestCorrelateCommand:
     def test_limit_pair(self, capsys):
         code, out, _ = run_cli(

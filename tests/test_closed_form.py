@@ -157,6 +157,24 @@ class TestDomainChecks:
         with pytest.raises(DomainError):
             kappa(1.0, 3, 3)
 
+    @pytest.mark.parametrize("k,m", [(1, 1), (1, 4), (2, 2), (2, 3)])
+    @pytest.mark.parametrize("r", [1e20, 1e30, 1e200])
+    def test_series_at_huge_distance(self, r, k, m):
+        # The truncated series is returned while it is a finite float and
+        # raises DomainError once it overflows, never NaN or OverflowError.
+        if (k, m) == (2, 3) and r < 1e100:
+            # leading term -(m-2)(m+4)(m+3) r^6 / (720 (m-1) m^2)
+            expected = -42.0 / 12960.0 * r ** 6
+            assert kappa_series(r, m, k) == pytest.approx(expected, rel=1e-12)
+        else:
+            with pytest.raises(DomainError):
+                kappa_series(r, m, k)
+
+    def test_series_at_tiny_distance(self):
+        # r^2 underflows to 0 and the 1/t term has no finite value
+        with pytest.raises(DomainError):
+            kappa_series(1e-200, 2, 1)
+
 
 class TestConnectedAlgebra:
     def test_two_point(self):

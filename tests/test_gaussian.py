@@ -1,6 +1,7 @@
 """Tests for Wick moments, Gaussian sampling, and the determinant expectation."""
 
 import math
+from itertools import permutations, product
 
 import numpy as np
 import pytest
@@ -13,6 +14,7 @@ from zerocorr.gaussian import (
     sample_complex_gaussian,
     wick_mixed_moment,
 )
+from zerocorr.kac_rice import _expand_sections
 
 
 def random_hpd(n, seed):
@@ -142,3 +144,55 @@ class TestDetProductExpectation:
     def test_bad_size(self):
         with pytest.raises(ValueError):
             expectation_det_product(np.eye(3), 2, 1, 1)
+
+
+def reference_expectation(lam, n, k, m):
+    """Brute-force E prod_p det(a_p a_p*), one Wick permanent per term.
+
+    Each determinant is expanded over a row permutation sigma and a column
+    assignment (q_1..q_k): det(a a*) = sum sgn(sigma) prod_j a[j, q_j]
+    conj(a[sigma(j), q_j]).  That is (k! m^k)^n moments of order kn.
+    """
+    spec = GaussianSpec(lam)
+    perms = list(permutations(range(k)))
+    q_choices = list(product(range(m), repeat=k))
+    total = 0.0 + 0.0j
+    for assignment in product(product(perms, q_choices), repeat=n):
+        sign = 1
+        holo = []
+        anti = []
+        for p, (sigma, qs) in enumerate(assignment):
+            sign *= round(np.linalg.det(np.eye(k)[list(sigma)]))
+            for j in range(k):
+                holo.append((p * k + j) * m + qs[j])
+                anti.append((p * k + sigma[j]) * m + qs[j])
+        total += sign * wick_mixed_moment(spec, holo, anti)
+    return total.real
+
+
+# Every (n, k, m) that an exact CorrelationQuery admits (k = 1: n <= 3;
+# k >= 2: n <= 2; m <= 4) and whose reference finishes in under 10 s;
+# (2, 3, 4) and (2, 4, 4) are left out.
+ADMITTED_SIZES = (
+    [(n, 1, m) for n in (1, 2, 3) for m in (1, 2, 3, 4)]
+    + [(n, k, m) for n in (1, 2) for k in (2, 3) for m in range(k, 5)
+       if (n, k, m) != (2, 3, 4)]
+    + [(1, 4, 4)]
+)
+
+
+class TestExactAgainstWickReference:
+    @pytest.mark.parametrize("n,k,m", ADMITTED_SIZES)
+    def test_section_expanded(self, n, k, m):
+        lam = _expand_sections(random_hpd(n * m, seed=20 + n + k + m), n, k, m)
+        value, _ = expectation_det_product(lam, n, k, m)
+        assert value == pytest.approx(reference_expectation(lam, n, k, m), rel=1e-12)
+
+    # Dense covariances at the admitted sizes cover acceptance criterion 8
+    # (n <= 2, k <= 2, m <= 3); (3, 2, 2) and (4, 1, 2) are public-API
+    # sizes beyond CorrelationQuery.
+    @pytest.mark.parametrize("n,k,m", ADMITTED_SIZES + [(3, 2, 2), (4, 1, 2)])
+    def test_dense(self, n, k, m):
+        lam = random_hpd(n * k * m, seed=40 + n + k + m)
+        value, _ = expectation_det_product(lam, n, k, m)
+        assert value == pytest.approx(reference_expectation(lam, n, k, m), rel=1e-12)

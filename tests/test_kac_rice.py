@@ -1,5 +1,7 @@
 """Tests for the jet-covariance correlation pipeline."""
 
+import time
+
 import numpy as np
 import pytest
 
@@ -146,6 +148,19 @@ class TestMonteCarloRoute:
         mc, err = normalized_correlation(mc_query)
         assert err > 0
         assert abs(mc - exact) < 4.0 * err
+
+    def test_largest_exact_size_runs(self):
+        # (n, k, m) = (2, 4, 4): k * n = 8 and m = 4, the exact cap.
+        points = ((0.0, 0.0, 0.0, 0.0), (0.8, 0.3j, 0.0, 0.0))
+        start = time.perf_counter()
+        exact, _ = correlation(CorrelationQuery(HeisenbergLimit(4), 2, 4, points))
+        elapsed = time.perf_counter() - start
+        mc, err = correlation(CorrelationQuery(
+            HeisenbergLimit(4), 2, 4, points,
+            method="monte_carlo", samples=200000, seed=5,
+        ))
+        assert elapsed < 10.0
+        assert abs(mc - exact) < 5.0 * err
 
 
 class TestJetCovariance:

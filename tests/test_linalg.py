@@ -53,6 +53,10 @@ class TestCholesky:
         with pytest.raises(NotPositiveDefinite):
             cholesky(-np.eye(2))
 
+    def test_tiny_pivot_names_index(self):
+        with pytest.raises(NotPositiveDefinite, match="at index 1"):
+            cholesky(np.diag([1.0, 1e-20]))
+
 
 class TestHermitianSolve:
     def test_matches_numpy(self):
