@@ -11,7 +11,7 @@ from itertools import combinations, permutations, product
 
 import numpy as np
 
-from .errors import SizeLimitExceeded
+from .errors import DomainError, SizeLimitExceeded
 from .linalg import cholesky, is_hermitian, permanent
 
 WICK_SIZE_LIMIT = 10
@@ -63,12 +63,19 @@ def philox(seed, stream=0):
 
 
 def _gaussian_chunks(low, count, seed):
-    """Draws of CN(0, low low*) in chunks of MC_CHUNK rows, chunk i from stream i."""
+    """Draws of CN(0, low low*) as (dim, S) arrays, samples last.
+
+    Chunk i holds S = MC_CHUNK samples (fewer in the last chunk) made from
+    Philox stream i: (S, dim, 2) standard normals scaled by sqrt(1/2), read
+    in place as (S, dim) complex numbers z, and returned as low @ z.T.  No
+    reference to the normals outlives the product, so they are freed before
+    the caller works on the draws.
+    """
     dim = low.shape[0]
     for chunk_index, start in enumerate(range(0, count, MC_CHUNK)):
         rng = philox(seed, chunk_index)
-        g = rng.normal(scale=np.sqrt(0.5), size=(min(MC_CHUNK, count - start), dim, 2))
-        yield (g[..., 0] + 1j * g[..., 1]) @ low.T
+        size = (min(MC_CHUNK, count - start), dim, 2)
+        yield low @ rng.normal(scale=np.sqrt(0.5), size=size).view(complex)[..., 0].T
 
 
 def sample_complex_gaussian(spec, count, seed):
@@ -80,7 +87,8 @@ def sample_complex_gaussian(spec, count, seed):
     """
     if count < 1:
         raise ValueError("count must be >= 1")
-    return np.concatenate(list(_gaussian_chunks(cholesky(spec.covariance), count, seed)))
+    chunks = _gaussian_chunks(cholesky(spec.covariance), count, seed)
+    return np.concatenate(list(chunks), axis=1).T
 
 
 def _exact_expectation(lam, n, k, m):
@@ -115,10 +123,21 @@ def _exact_expectation(lam, n, k, m):
 
 
 def _det_product_samples(draws, n, k, m):
-    a = draws.reshape(-1, n, k, m)
-    grams = np.einsum("spjq,spkq->spjk", a, a.conj())
-    dets = np.linalg.det(grams).real
-    return dets.prod(axis=1)
+    # det(a_p a_p*) = prod_j |r_j|^2, where r_j is row j of a_p minus its
+    # projections on the earlier rows (modified Gram-Schmidt).  Each step is
+    # an elementwise operation over the (n, m, S) slab of every point.
+    a = draws.reshape(n, k, m, -1)
+    basis = []
+    det = 1.0
+    for j in range(k):
+        r = a[:, j]
+        for q, norm in basis:
+            coef = (r * q.conj()).sum(axis=1) / norm
+            r = r - coef[:, None] * q
+        norm = (r.real ** 2 + r.imag ** 2).sum(axis=1)
+        det = det * norm
+        basis.append((r, norm))
+    return det.prod(axis=0)
 
 
 def expectation_det_product(lam, n, k, m, method="exact", samples=10 ** 6, seed=0):
@@ -129,7 +148,12 @@ def expectation_det_product(lam, n, k, m, method="exact", samples=10 ** 6, seed=
     permutations and Wick pairings of the (p, j) rows, traces of products
     of m x m blocks of ``lam``; pairings through a zero block are skipped,
     so k independent sections cost (n!)^k (k!)^n terms.  It requires
-    k*n <= 8 and m <= 4.  Monte Carlo returns a sample mean.
+    k*n <= 8 and m <= 4.  Monte Carlo returns the mean over ``samples``
+    draws (at least 2, else ``DomainError``).  Each chunk of draws from
+    ``_gaussian_chunks`` is a (n*k*m, S) array, samples last, and every
+    determinant is a Gram determinant taken by Gram-Schmidt along the sample
+    axis; the chunks' (count, mean, squared deviation) are merged with
+    Chan's update.  A seed gives the same draws, chunk i from Philox stream i.
 
     Returns (value, standard_error); the exact path reports 0.0 error.
     """
@@ -145,12 +169,21 @@ def expectation_det_product(lam, n, k, m, method="exact", samples=10 ** 6, seed=
         return value.real, 0.0
     if method != "monte_carlo":
         raise ValueError(f"unknown method {method!r}")
-    total = 0.0
-    total_sq = 0.0
+    if samples < 2:
+        raise DomainError(f"Monte Carlo needs at least 2 samples, got {samples}")
+    count = 0
+    mean = 0.0
+    m2 = 0.0
     for draws in _gaussian_chunks(cholesky(lam), samples, seed):
         values = _det_product_samples(draws, n, k, m)
-        total += values.sum()
-        total_sq += (values ** 2).sum()
-    mean = total / samples
-    variance = max(total_sq / samples - mean ** 2, 0.0)
-    return mean, np.sqrt(variance / samples)
+        # Chan et al.'s pairwise update of (count, mean, sum of squared
+        # deviations) with the chunk's own moments.
+        size = values.size
+        chunk_mean = values.mean()
+        delta = chunk_mean - mean
+        total = count + size
+        mean += delta * size / total
+        m2 += ((values - chunk_mean) ** 2).sum() + delta ** 2 * count * size / total
+        count = total
+    variance = m2 / count
+    return mean, np.sqrt(variance / count)

@@ -128,6 +128,16 @@ class TestCorrelateCommand:
             main(["correlate"])  # missing required --model
         assert info.value.code == 2
 
+    @pytest.mark.parametrize("samples", ["1", "0", "-5"])
+    def test_too_few_mc_samples_exit_code(self, capsys, samples):
+        code, out, err = run_cli(
+            capsys, "correlate", "--model", "heisenberg-limit", "--m", "2",
+            "--k", "2", "--n", "2", "--method", "mc", "--samples", samples,
+        )
+        assert code == 1
+        assert out == ""
+        assert err.startswith("DomainError")
+
 
 class TestConvergeCommand:
     def test_rate_exponent(self, capsys):

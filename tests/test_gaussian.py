@@ -6,10 +6,11 @@ from itertools import permutations, product
 import numpy as np
 import pytest
 
-from zerocorr.errors import SizeLimitExceeded
+from zerocorr.errors import DomainError, SizeLimitExceeded
 from zerocorr.gaussian import (
     MC_CHUNK,
     GaussianSpec,
+    _det_product_samples,
     expectation_det_product,
     sample_complex_gaussian,
     wick_mixed_moment,
@@ -96,6 +97,9 @@ class TestDetProductExpectation:
             expected = math.factorial(m) / math.factorial(m - k)
             assert value == pytest.approx(expected, rel=1e-12)
             assert err == 0.0
+            mc, mc_err = expectation_det_product(np.eye(k * m), 1, k, m, method="monte_carlo",
+                                                 samples=MC_CHUNK, seed=k)
+            assert abs(mc - expected) < 4.0 * mc_err
 
     def test_scalar_case(self):
         value, _ = expectation_det_product(np.array([[2.5]]), 1, 1, 1)
@@ -137,6 +141,12 @@ class TestDetProductExpectation:
                                         samples=samples, seed=14)
         assert mc == pytest.approx(per_point.prod(axis=1).mean(), rel=1e-12)
 
+    @pytest.mark.parametrize("samples", [1, 0, -5])
+    def test_monte_carlo_needs_two_samples(self, samples):
+        with pytest.raises(DomainError):
+            expectation_det_product(np.eye(2), 2, 1, 1, method="monte_carlo",
+                                    samples=samples)
+
     def test_exact_size_cap(self):
         with pytest.raises(SizeLimitExceeded):
             expectation_det_product(np.eye(9), 9, 1, 1)
@@ -144,6 +154,34 @@ class TestDetProductExpectation:
     def test_bad_size(self):
         with pytest.raises(ValueError):
             expectation_det_product(np.eye(3), 2, 1, 1)
+
+
+def reference_det_products(draws, n, k, m):
+    """prod_p det(a_p a_p*) per row of (S, n*k*m) draws: Gram matrices by
+    einsum, determinants by batched LU."""
+    a = draws.reshape(-1, n, k, m)
+    grams = np.einsum("spjq,spkq->spjk", a, a.conj())
+    return np.linalg.det(grams).real.prod(axis=1)
+
+
+class TestDetProductKernel:
+    # The Gram-and-LU reference rounds to about eps cond(a_p)^2 det per
+    # sample, so on ill-conditioned draws it is off by more than 1e-12 of
+    # the determinant itself.  It is compared at the scale of that error,
+    # the Hadamard bound prod |a_pj|^2; the kernel's own rounding is
+    # checked relative to the determinant against a long-double run.
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    @pytest.mark.parametrize("k,m", [(k, m) for m in range(1, 5) for k in range(1, m + 1)])
+    def test_matches_reference(self, n, k, m):
+        rng = np.random.default_rng([n, k, m])
+        draws = rng.normal(size=(n * k * m, 4096)) + 1j * rng.normal(size=(n * k * m, 4096))
+        values = _det_product_samples(draws, n, k, m)
+        rows = (np.abs(draws) ** 2).reshape(n, k, m, -1).sum(axis=2)
+        hadamard = rows.prod(axis=(0, 1))
+        reference = reference_det_products(draws.T, n, k, m)
+        assert np.all(np.abs(values - reference) <= 1e-12 * hadamard)
+        precise = _det_product_samples(draws.astype(np.clongdouble), n, k, m)
+        assert np.all(np.abs(values - precise) <= 1e-12 * precise)
 
 
 def reference_expectation(lam, n, k, m):
