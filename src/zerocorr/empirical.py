@@ -10,7 +10,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.special import gammaln
 
-from .errors import InsufficientDegree, RootFindingFailed, WindowTooLarge
+from .errors import DomainError, InsufficientDegree, RootFindingFailed, WindowTooLarge
 from .gaussian import philox
 
 MAX_WINDOW = 5.0
@@ -289,8 +289,11 @@ def pair_correlation_estimate(N, samples, window, bins, seed, process="roots"):
     so the histogram is the same, at a fraction of the cost.
 
     ``process="poisson"`` replaces the roots by uniform points of the same
-    intensity, for estimator calibration.
+    intensity, for estimator calibration.  The standard error needs at least
+    two samples; fewer raise ``DomainError``.
     """
+    if samples < 2:
+        raise DomainError(f"the pair estimate needs at least 2 samples, got {samples}")
     bins = np.asarray(bins, dtype=float)
     if bins.ndim != 1 or len(bins) < 2 or np.any(np.diff(bins) <= 0):
         raise ValueError("bins must be increasing edges")

@@ -6,6 +6,15 @@ the k independent sections only enter through a Kronecker identity
 factor).  Conditioning on the sections vanishing at the points gives the
 jet covariance, and the correlation is a Gaussian determinant-product
 expectation divided by pi^{kn} det(a)^k.
+
+The jets take derivatives along an orthonormal frame of each model's own
+metric, so with the default ``volume="metric"`` the jet covariance is used
+as it is and the correlation counts zeros per unit metric volume.  Such
+correlations are invariant under the model's isometries, so the jets are
+taken at ``model._centered(points)``, where they keep the most digits.
+``volume="euclidean"`` takes the jets at the points as given, then each
+point's derivatives to the coordinate frame, and so counts zeros per unit
+coordinate volume.
 """
 
 from dataclasses import dataclass, field
@@ -15,8 +24,12 @@ import numpy as np
 from . import closed_form
 from .errors import NearSingular, SizeLimitExceeded
 from .gaussian import expectation_det_product
-from .kernels import FubiniStudy, fs_metric, kernel_jet
-from .linalg import cholesky, determinant, hermitian_solve
+from .kernels import kernel_jet
+from .linalg import determinant, hermitian_solve
+
+# Not called here; perfbench/tracing.py wraps these names in this module.
+from .kernels import fs_metric  # noqa: F401
+from .linalg import cholesky  # noqa: F401
 
 MIN_SCALED_SEPARATION = 1e-3
 
@@ -78,20 +91,26 @@ class CovarianceBlocks:
 def assemble_blocks(query):
     """Populate the value/derivative covariance blocks from kernel jets.
 
-    The jets are those of the normalized kernel in the unitary frame, so
-    the value block has a unit diagonal and no entry grows with the
-    points' modulus or separation.  The correlation is exactly invariant
+    The jets are those of the normalized kernel in the unitary frame, with
+    derivatives along an orthonormal frame of the model's metric, so the
+    value block has a unit diagonal and no entry grows with the points'
+    modulus or separation.  The correlation is exactly invariant
     under this per-point rescaling and under the connection terms, which
-    add multiples of the values to the derivatives.
+    add multiples of the values to the derivatives.  Per unit metric volume
+    it is also invariant under the model's isometries, so those queries
+    take their jets at ``model._centered(points)``.
     """
     model = query.model
     n, m = query.n, model.m
+    points = query.points
+    if query.volume == "metric":
+        points = model._centered(points)
     a = np.zeros((n, n), dtype=complex)
     b = np.zeros((n, n * m), dtype=complex)
     c = np.zeros((n * m, n * m), dtype=complex)
     for p in range(n):
         for pp in range(n):
-            jet = kernel_jet(model, query.points[p], query.points[pp])
+            jet = kernel_jet(model, points[p], points[pp])
             a[p, pp] = jet.s
             b[p, pp * m:(pp + 1) * m] = jet.grad
             c[p * m:(p + 1) * m, pp * m:(pp + 1) * m] = jet.hess
@@ -122,35 +141,26 @@ def _expand_sections(lam, n, k, m):
     return full.reshape(n * k * m, n * k * m)
 
 
-def _metric_contract(lam, query):
-    """Absorb the inverse metric of the model into the jet covariance.
+def _coordinate_volume(lam, query):
+    """Take the jet covariance to the coordinate frame: block (p, p') becomes X_p lam X_p'^*.
 
-    For the projective model the determinant in the correlation formula
-    carries the inverse Fubini-Study metric; conjugating each point block
-    by a Cholesky factor of that inverse metric reduces it to the plain
-    Euclidean determinant handled downstream.  Queries with
-    volume="euclidean" skip the contraction and measure zero volume in the
-    flat coordinate metric instead.
+    X_p is the model's coordinate frame at point p (identity for the flat
+    models), so the determinants downstream measure zero volume in the flat
+    coordinate metric.
     """
-    if not isinstance(query.model, FubiniStudy) or query.volume == "euclidean":
-        return lam
-    n, m = query.n, query.model.m
-    factors = []
-    for p in range(n):
-        g = fs_metric(query.points[p])
-        gamma = hermitian_solve(g, np.eye(m))
-        factors.append(cholesky(0.5 * (gamma + gamma.conj().T)))
-    d = np.zeros((n * m, n * m), dtype=complex)
-    for p in range(n):
-        d[p * m:(p + 1) * m, p * m:(p + 1) * m] = factors[p]
-    return d.conj().T @ lam @ d
+    m = query.model.m
+    frame = np.zeros_like(lam)
+    for p, point in enumerate(query.points):
+        frame[p * m:(p + 1) * m, p * m:(p + 1) * m] = query.model._coordinate_frame(point)
+    return frame @ lam @ frame.conj().T
 
 
 def correlation(query):
     """n-point zero correlation K_n for the query; returns (value, stderr)."""
     blocks = assemble_blocks(query)
     lam = jet_covariance(blocks)
-    lam = _metric_contract(lam, query)
+    if query.volume == "euclidean":
+        lam = _coordinate_volume(lam, query)
     n, k, m = query.n, query.k, query.model.m
     lam_full = _expand_sections(lam, n, k, m)
     value, err = expectation_det_product(

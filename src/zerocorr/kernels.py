@@ -1,21 +1,32 @@
-"""Model kernels and their jets, normalized and in the unitary frame.
+"""Model kernels and their jets, normalized, in orthonormal frames.
 
 Each model is a line bundle whose holomorphic sections have the reproducing
 kernel S(z, w) = exp(phi(z . conj(w))) in affine coordinates:
 
 * ``FubiniStudy(N, m)`` -- degree-N polynomial ensemble on projective
-  m-space, phi(t) = N log(1 + t);
+  m-space, phi(t) = N log(1 + t), with the Fubini-Study metric
+  ``fs_metric``;
 * ``HeisenbergLevel(N, m)`` -- level-N Bargmann-Fock model on C^m,
-  phi(t) = N t;
+  phi(t) = N t, with the Euclidean metric;
 * ``HeisenbergLimit(m)`` -- its flat scaling limit, which is the level-1
   model.
 
 A jet is never formed from S itself.  Sections are read in the unitary
 frame, where they have unit variance at every point, and differentiated
-with the Chern connection; ``KernelJet`` lists the resulting covariances.
-The connection terms are multiples of the section value, so conditioning
-on the values removes them and the zero correlations are those of the raw
-kernel.  Every jet entry stays bounded, whatever the points.
+with the Chern connection along an orthonormal frame of the model's own
+metric; ``KernelJet`` lists the resulting covariances.  The connection
+terms are multiples of the section value, so conditioning on the values
+removes them and the zero correlations are those of the raw kernel, per
+unit metric volume.  Every jet entry stays bounded, whatever the points.
+
+``model._coordinate_frame(z)`` is the matrix X whose row q holds the
+coordinate vector d/dz_q in the orthonormal frame at z, so derivatives
+along the coordinates are X times those along the frame and X X* is the
+metric at z.  It is the identity for the flat models, whose coordinate
+frame is already orthonormal.  ``model._centered(points)`` moves a query's
+points by an isometry of the model to where the jets keep the most digits:
+the projective model takes the first point to the origin, and the flat
+models leave the points where they are.
 """
 
 import cmath
@@ -28,16 +39,25 @@ from scipy.special import gammaln
 
 @dataclass(frozen=True)
 class KernelJet:
-    """Covariances of the unitary-frame section F and its covariant derivative DF.
+    """Covariances of the unitary-frame section F and its covariant derivatives DF.
 
-    With phi as in the module docstring and p = z . conj(w):
+    DF_j is the derivative along the j-th vector of the orthonormal frame of
+    the model's metric (see the module docstring):
 
-    * ``s`` = E[F(z) conj(F(w))] = exp(phi(p) - phi(|z|^2)/2 - phi(|w|^2)/2),
-      the normalized kernel S(z, w) / sqrt(S(z, z) S(w, w));
-    * ``grad[j]`` = E[F(z) conj(DF_j(w))] = (phi'(p) z - phi'(|w|^2) w)_j s;
-    * ``hess[i, j]`` = E[DF_i(z) conj(DF_j(w))]
-      = ((phi'(p) I + phi''(p) conj(w) z^T) s + u v^T s)[i, j], with
-      u = phi'(p) conj(w) - phi'(|z|^2) conj(z) and v = phi'(p) z - phi'(|w|^2) w.
+    * ``s`` = E[F(z) conj(F(w))], the normalized kernel S(z, w) / sqrt(S(z, z) S(w, w));
+    * ``grad[j]`` = E[F(z) conj(DF_j(w))];
+    * ``hess[i, j]`` = E[DF_i(z) conj(DF_j(w))].
+
+    Flat models, with d = z - w: s = exp(N (z . conj(w)) - N |z|^2 / 2 - N |w|^2 / 2),
+    grad = N s d and hess = N s (I - N conj(d) d^T).
+
+    Fubini-Study, in homogeneous coordinates: Z = (1, z) / sqrt(1 + |z|^2)
+    = (alpha, zeta) is a unit vector of C^(m+1), and the m columns of
+    E_z = [-conj(zeta)^T ; I - zeta zeta^* / (1 + alpha)] complete it to a
+    unitary matrix; they are the orthonormal frame at z.  With
+    t = Z . conj(W), u = E_z^T conj(W) and v = E_w^* Z:
+    s = t^N, grad = N t^(N-1) v and
+    hess = N t^(N-1) E_z^T conj(E_w) + N (N-1) t^(N-2) u v^T.
     """
 
     s: complex
@@ -61,42 +81,88 @@ class FubiniStudy:
         _check_model(self.m, self.N)
 
     def _jet(self, z, w):
-        """Jet in terms of beta = (1 + p) / sqrt((1 + |z|^2)(1 + |w|^2)).
+        """Jet from the homogeneous unit vectors Z, W and frames E_z, E_w; see KernelJet.
 
-        |beta| <= 1, s = beta^N, phi'(p) s = N beta^(N-1) / sqrt(..) and
-        (phi'' + phi'^2)(p) s = N (N-1) beta^(N-2) / (..), so no entry
-        grows with |z| or is infinite at beta = 0.  Where |beta|^2 > 1/2,
-        the powers come from log|beta| = log1p(-chord) / 2, with
-        chord = 1 - |beta|^2 the squared chordal distance summed from
-        nonnegative terms, so they keep full precision at large N.  The
-        differences z / (1 + p) - w / (1 + |w|^2) and its mirror are formed
-        from d = z - w, so nearby points lose no digits to cancellation.
+        With c = alpha^2 / (1 + alpha) at each point and d = z - w, the
+        frames give v = E_w^* Z = alpha_z (d - c_w (w^* d) w) and
+        u = E_z^T conj(W) = -alpha_w conj(d - c_z (z^* d) z), both formed from
+        d, so nearby points lose no digits to cancellation.  |t| <= 1 and
+        every frame entry is at most 1 in modulus, so no entry grows with |z|
+        or is infinite at t = 0.  Where |t|^2 > 1/2, the powers come from
+        log|t| = log1p(-chord) / 2, with chord = 1 - |t|^2 = |v|^2 summed
+        from nonnegative terms, so they keep full precision at large N.
         """
         N = self.N
         d = z - w
-        zc = z.conj()
         a = 1.0 + float(np.vdot(z, z).real)
         b = 1.0 + float(np.vdot(w, w).real)
-        t = complex(np.vdot(w, d))  # d . conj(w); 1 + p = b + t
-        # x = ((1 + p) conj(z) - a conj(w)) / a and y = (b z - (1 + p) w) / b
-        x = d.conj() - (complex(np.vdot(d, z)) / a) * zc
-        y = d - (t / b) * w
-        chord = (float(np.vdot(y, y).real) + abs(t / b) ** 2) / a
-        root = math.sqrt(a * b)
-        if chord < 0.5:
-            log_beta = complex(0.5 * math.log1p(-chord), math.atan2(t.imag, b + t.real))
-            s = cmath.exp(N * log_beta)
-            beta_1 = cmath.exp((N - 1) * log_beta)
-            beta_2 = cmath.exp(max(N - 2, 0) * log_beta)
+        alpha_z, c_z = _frame_scalars(a)
+        alpha_w, c_w = _frame_scalars(b)
+        w_d, z_d = complex(np.vdot(w, d)), complex(np.vdot(z, d))
+        v = alpha_z * (d - (c_w * w_d) * w)
+        u = (-alpha_w) * (d - (c_z * z_d) * z).conj()
+        # 1 + z . conj(w) = b + d . conj(w) = a - z . conj(d): the form that
+        # starts from the smaller point keeps the digits of the phase, and
+        # swapping z and w gives exactly the conjugate.
+        if b <= a:
+            t = alpha_z * alpha_w * (b + w_d)
         else:
-            beta = (b + t) / root
-            s, beta_1, beta_2 = beta ** N, beta ** (N - 1), beta ** max(N - 2, 0)
-        first = N * beta_1 / root
-        second = N * (N - 1) * beta_2 / (a * b)
-        hess = x[:, None] * ((first / b) * w - second * y)
-        hess -= ((first / a) * zc)[:, None] * z
+            t = alpha_z * alpha_w * (a - z_d.conjugate())
+        chord = float(np.vdot(v, v).real)
+        if chord < 0.5:
+            log_t = complex(0.5 * math.log1p(-chord), math.atan2(t.imag, t.real))
+            t_1 = cmath.exp((N - 1) * log_t)
+            t_2 = cmath.exp(max(N - 2, 0) * log_t)
+            s = cmath.exp(N * log_t)
+        else:
+            s, t_1, t_2 = t ** N, t ** (N - 1), t ** max(N - 2, 0)
+        first = N * t_1
+        second = N * (N - 1) * t_2
+        # E_z^T conj(E_w) = I + kappa conj(z) w^T - c_z conj(z) z^T - c_w conj(w) w^T
+        kappa = alpha_z * alpha_w + c_z * c_w * complex(np.vdot(w, z))
+        hess = z.conj()[:, None] * (first * (kappa * w - c_z * z))
+        hess -= w.conj()[:, None] * ((first * c_w) * w)
+        hess += u[:, None] * (second * v)
         hess.flat[::len(z) + 1] += first
-        return KernelJet(s=s, grad=first * y, hess=hess)
+        return KernelJet(s=s, grad=first * v, hess=hess)
+
+    def _centered(self, points):
+        """The points moved by the unitary of C^(m+1) that takes the first one to the origin.
+
+        The affine frame twists near the hyperplane at infinity: there,
+        nearby points have pair phases N arg(1 + z . conj(w)) of order
+        N |z - w| / |z|, and their rounding errors do not cancel between
+        pairs.  With the first point at the origin, the phases of a cluster
+        are of order N times its squared size.  Each w goes to
+        E_z^* W / (Z^* W) = -(d - c_z (z^* d) z) / (alpha_z (1 + z^* w)),
+        formed from d = z - w as in ``_jet``.  If some point lies more than
+        a quarter turn from the first (it would land outside the unit ball,
+        at infinity if antipodal), the points are returned as given.
+        """
+        z = points[0]
+        alpha, c = _frame_scalars(1.0 + float(np.vdot(z, z).real))
+        moved = []
+        for w in points:
+            d = z - w
+            tangent = d - (c * complex(np.vdot(z, d))) * z
+            height = -alpha * (1.0 + complex(np.vdot(z, w)))
+            if float(np.vdot(tangent, tangent).real) > abs(height) ** 2:
+                return points
+            moved.append(tangent / height)
+        return moved
+
+    def _coordinate_frame(self, z):
+        """X = alpha (I - c conj(z) z^T), the Hermitian root of fs_metric(z)."""
+        alpha, c = _frame_scalars(1.0 + float(np.vdot(z, z).real))
+        frame = z.conj()[:, None] * ((-alpha * c) * z)
+        frame.flat[::len(z) + 1] += alpha
+        return frame
+
+
+def _frame_scalars(a):
+    """alpha = 1 / sqrt(a) and c = alpha^2 / (1 + alpha) for a = 1 + |z|^2."""
+    alpha = 1.0 / math.sqrt(a)
+    return alpha, alpha * alpha / (1.0 + alpha)
 
 
 @dataclass(frozen=True)
@@ -121,6 +187,14 @@ class HeisenbergLevel:
         hess = ((-N * ns) * dc)[:, None] * d
         hess.flat[::len(d) + 1] += ns
         return KernelJet(s=s, grad=ns * d, hess=hess)
+
+    def _centered(self, points):
+        """The points as given: flat jets are formed from differences, up to pair phases."""
+        return points
+
+    def _coordinate_frame(self, z):
+        """The identity: the coordinate frame is orthonormal for the Euclidean metric."""
+        return np.eye(len(z))
 
 
 @dataclass(frozen=True)

@@ -173,6 +173,15 @@ class TestMcCommand:
         for row in rows:
             assert float(row[3]) > 0  # normalizer positive
 
+    @pytest.mark.parametrize("samples", ["1", "0", "-3"])
+    def test_too_few_samples_exit_code(self, capsys, samples):
+        code, out, err = run_cli(
+            capsys, "mc", "--N", "500", "--window", "4.4", "--samples", samples,
+        )
+        assert code == 1
+        assert out == ""
+        assert err.startswith("DomainError")
+
 
 class TestKernelCheckCommand:
     def test_decay(self, capsys):

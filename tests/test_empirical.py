@@ -12,7 +12,7 @@ from zerocorr.empirical import (
     polynomial_roots,
     sample_su2_polynomial,
 )
-from zerocorr.errors import InsufficientDegree, RootFindingFailed, WindowTooLarge
+from zerocorr.errors import DomainError, InsufficientDegree, RootFindingFailed, WindowTooLarge
 
 
 class TestSampling:
@@ -227,3 +227,8 @@ class TestPairEstimator:
     def test_bad_bins(self):
         with pytest.raises(ValueError):
             pair_correlation_estimate(500, 10, 4.4, np.array([1.0, 0.5]), seed=0)
+
+    @pytest.mark.parametrize("samples", [1, 0, -3])
+    def test_needs_two_samples(self, samples):
+        with pytest.raises(DomainError):
+            pair_correlation_estimate(500, samples, 4.4, np.array([0.5, 1.0]), seed=0)

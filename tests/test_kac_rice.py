@@ -15,7 +15,7 @@ from zerocorr.kac_rice import (
     normalized_correlation,
     one_point_density,
 )
-from zerocorr.kernels import FubiniStudy, HeisenbergLevel, HeisenbergLimit
+from zerocorr.kernels import FubiniStudy, HeisenbergLevel, HeisenbergLimit, fs_metric
 
 
 def limit_query(points, k=1, **kwargs):
@@ -67,6 +67,17 @@ class TestDensities:
             value, _ = correlation(query)
             assert np.isclose(value, one_point_density(FubiniStudy(12, m), 1),
                               rtol=1e-10)
+
+    @pytest.mark.parametrize("m", [1, 2, 3])
+    def test_fs_euclidean_density_carries_metric_determinant(self, m):
+        # With k = m the zero set is a point, so per unit coordinate volume
+        # its density is the metric density times det(fs_metric).
+        model = FubiniStudy(7, m)
+        for point in [np.zeros(m), np.linspace(0.3, -1.1j, m), np.full(m, 40.0 - 25.0j)]:
+            query = CorrelationQuery(model=model, n=1, k=m, points=(tuple(point),),
+                                     volume="euclidean")
+            expected = one_point_density(model, m) * np.linalg.det(fs_metric(point)).real
+            assert np.isclose(correlation(query)[0], expected, rtol=1e-10)
 
     def test_limit_one_point(self):
         for m in (1, 2, 3):

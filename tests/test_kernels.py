@@ -90,6 +90,18 @@ class TestJetValues:
         assert np.allclose(jet.grad, 0.0)
         assert np.allclose(jet.hess, N * np.eye(m))
 
+    @pytest.mark.parametrize("model", [FubiniStudy(7, 1), FubiniStudy(10 ** 5, 3),
+                                       HeisenbergLevel(3, 2), HeisenbergLimit(4)])
+    @pytest.mark.parametrize("radius", [0.6, 1e3, 1e6])
+    def test_diagonal_in_orthonormal_frame(self, model, radius):
+        # At z = w the frame is orthonormal for the model's metric, so the
+        # jet is (1, 0, N I) wherever the point lies.
+        z = radius * np.exp(1j * np.arange(1, model.m + 1)) / np.sqrt(model.m)
+        jet = kernel_jet(model, z, z)
+        assert jet.s == pytest.approx(1.0, rel=1e-15)
+        assert np.allclose(jet.grad, 0.0, rtol=0.0, atol=0.0)
+        assert np.allclose(jet.hess, model.N * np.eye(model.m), rtol=0.0, atol=1e-14 * model.N)
+
     def test_fs_scaling_limit(self):
         # Jets of the projective kernel at scaled points approach the flat
         # jets at rate 1/N.
@@ -144,10 +156,15 @@ class TestJetDerivatives:
         def kernel(zz, ww):
             return (1.0 + zz @ ww.conj()) ** N
 
+        # The jet takes derivatives along the orthonormal frame; the
+        # reference takes them along the coordinates, which are X times
+        # the frame's.
         grad, hess = normalized_reference(kernel, lambda t: N / (1.0 + t), z, w)
-        jet = kernel_jet(FubiniStudy(N, m), z, w)
-        assert np.allclose(jet.grad, grad, rtol=1e-7, atol=1e-7)
-        assert np.allclose(jet.hess, hess, rtol=1e-6, atol=1e-6)
+        model = FubiniStudy(N, m)
+        jet = kernel_jet(model, z, w)
+        x_z, x_w = model._coordinate_frame(z), model._coordinate_frame(w)
+        assert np.allclose(x_w.conj() @ jet.grad, grad, rtol=1e-7, atol=1e-7)
+        assert np.allclose(x_z @ jet.hess @ x_w.conj().T, hess, rtol=1e-6, atol=1e-6)
 
     def test_heisenberg_level_finite_difference(self):
         # The raw level-N kernel is exp(N z.conj(w)); normalizing it
@@ -222,3 +239,23 @@ class TestFsMetric:
         z = np.array([0.7 - 0.2j])
         g = fs_metric(z)
         assert np.isclose(g[0, 0], 1.0 / (1.0 + abs(z[0]) ** 2) ** 2)
+
+
+class TestCoordinateFrame:
+    @pytest.mark.parametrize("m", [1, 2, 3, 4])
+    @pytest.mark.parametrize("radius", [0.0, 0.6, 3.0, 40.0])
+    def test_fs_frame_is_metric_root(self, m, radius):
+        rng = np.random.default_rng(40 + m)
+        z = rng.normal(size=m) + 1j * rng.normal(size=m)
+        z *= radius / np.linalg.norm(z)
+        frame = FubiniStudy(9, m)._coordinate_frame(z)
+        g = fs_metric(z)
+        # fs_metric cancels terms of size 1/(1 + |z|^2) to leave entries as
+        # small as 1/(1 + |z|^2)^2, so its own rounding sets the tolerance.
+        atol = 1e-15 * (1.0 + radius ** 2) * np.abs(g).max()
+        assert np.allclose(frame @ frame.conj().T, g, rtol=0.0, atol=atol)
+
+    @pytest.mark.parametrize("model", [HeisenbergLimit(3), HeisenbergLevel(5, 2)])
+    def test_flat_frame_is_identity(self, model):
+        z = np.linspace(-2.0, 3.0, model.m) * (1.0 - 0.5j)
+        assert np.array_equal(model._coordinate_frame(z), np.eye(model.m))

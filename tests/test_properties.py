@@ -62,23 +62,32 @@ def test_flat_translation_invariance(data, m, n, N, distance):
 def projective_image(unitary, z):
     """Affine coordinates of the image of the point z under a unitary of C^(m+1)."""
     image = unitary @ np.concatenate([[1.0], z])
-    assume(abs(image[0]) >= 0.2 * np.linalg.norm(image))
+    assume(abs(image[0]) >= 1e-5 * np.linalg.norm(image))
     return image[1:] / image[0]
+
+
+def unitary_from(data, column):
+    """A unitary of C^(m+1) whose first column is column / |column|, up to a phase."""
+    rest = [data.draw(vectors(len(column))) for _ in range(len(column) - 1)]
+    unitary, _ = np.linalg.qr(np.column_stack([column, *rest]))
+    return unitary
 
 
 @PROPERTY
 @given(data=st.data(), m=st.integers(1, 3), n=st.integers(2, 3),
-       N=st.integers(3, 10 ** 5), two_sections=st.booleans())
-def test_fubini_study_unitary_invariance(data, m, n, N, two_sections):
+       N=st.integers(3, 10 ** 5), two_sections=st.booleans(), reach=st.integers(0, 4))
+def test_fubini_study_unitary_invariance(data, m, n, N, two_sections, reach):
     # N >= 3 keeps n points independent: degree-N sections on a projective
-    # line span only N + 1 dimensions.
+    # line span only N + 1 dimensions.  The unitary takes the cluster's
+    # center to affine modulus about 10^reach.
     k = 2 if two_sections and m >= 2 else 1
     if k == 2:
         n = 2
     center = data.draw(vectors(m))
     points = [center + p / math.sqrt(N) for p in cluster(data, m, n)]
-    matrix = np.array([data.draw(vectors(m + 1)) for _ in range(m + 1)])
-    unitary, _ = np.linalg.qr(matrix)
+    target = np.concatenate([[10.0 ** -reach], unit_vector(data, m)])
+    unitary = (unitary_from(data, target)
+               @ unitary_from(data, np.concatenate([[1.0], center])).conj().T)
     moved = [projective_image(unitary, p) for p in points]
     model = FubiniStudy(N, m)
     assert np.isclose(pair_value(model, k, moved), pair_value(model, k, points),
@@ -86,13 +95,14 @@ def test_fubini_study_unitary_invariance(data, m, n, N, two_sections):
 
 
 @PROPERTY
-@given(data=st.data(), m=st.integers(1, 3), radius=st.floats(0.0, 10.0))
-def test_fubini_study_density_independent_of_point(data, m, radius):
-    model = FubiniStudy(1000, m)
+@given(data=st.data(), m=st.integers(1, 4), N=st.integers(1, 10 ** 5),
+       radius=st.one_of(st.just(0.0), st.floats(-3.0, 6.0).map(lambda e: 10.0 ** e)))
+def test_fubini_study_density_independent_of_point(data, m, N, radius):
+    model = FubiniStudy(N, m)
     point = radius * unit_vector(data, m)
     for k in range(1, m + 1):
         query = CorrelationQuery(model=model, n=1, k=k, points=(tuple(point),))
-        assert np.isclose(correlation(query)[0], density(model, k), rtol=1e-10, atol=0.0)
+        assert np.isclose(correlation(query)[0], density(model, k), rtol=1e-12, atol=0.0)
 
 
 # Normalized pair correlations at antipodal points, (m, N) -> values for
