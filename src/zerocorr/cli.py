@@ -12,7 +12,7 @@ from itertools import combinations
 import numpy as np
 
 from . import closed_form, empirical, kac_rice
-from .errors import ZerocorrError
+from .errors import DomainError, ZerocorrError
 from .kernels import (
     FubiniStudy,
     HeisenbergLevel,
@@ -44,7 +44,10 @@ def parse_points(spec, m):
     """Parse ``re+imj,...;re+imj,...`` into a tuple of points in C^m."""
     points = []
     for chunk in spec.split(";"):
-        values = [complex(v.strip().replace("i", "j")) for v in chunk.split(",")]
+        try:
+            values = [complex(v.strip().replace("i", "j")) for v in chunk.split(",")]
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"bad point {chunk!r}") from None
         if len(values) != m:
             raise argparse.ArgumentTypeError(
                 f"point {chunk!r} has {len(values)} coordinates, expected {m}"
@@ -80,9 +83,7 @@ def _make_model(args):
         return HeisenbergLimit(m=args.m)
     if args.model == "heisenberg":
         return HeisenbergLevel(N=args.N, m=args.m)
-    if args.model == "fs":
-        return FubiniStudy(N=args.N, m=args.m)
-    raise argparse.ArgumentTypeError(f"unknown model {args.model!r}")
+    return FubiniStudy(N=args.N, m=args.m)
 
 
 def _default_points(n, m, r):
@@ -95,21 +96,15 @@ def _fit_rate(levels, deviations):
     levels = np.asarray(levels, dtype=float)
     deviations = np.asarray(deviations, dtype=float)
     keep = deviations > 0
-    slope = np.polyfit(np.log(levels[keep]), np.log(deviations[keep]), 1)[0]
-    return -slope
+    if len(set(levels[keep])) < 2:
+        raise DomainError("a rate needs nonzero deviations at two or more levels")
+    return -np.polyfit(np.log(levels[keep]), np.log(deviations[keep]), 1)[0]
 
 
 def cmd_kappa(args):
-    rows = []
-    for r in parse_grid(args.r):
-        rows.append(
-            (
-                r,
-                closed_form.kappa(r, args.m, args.k),
-                closed_form.kappa_series(r, args.m, args.k),
-                closed_form.kappa_asymptote(r, args.m, args.k),
-            )
-        )
+    m, k = args.m, args.k
+    rows = [(r, closed_form.kappa(r, m, k), closed_form.kappa_series(r, m, k),
+             closed_form.kappa_asymptote(r, m, k)) for r in args.r]
     write_table(["r", "kappa", "series", "asymptote"], rows, args.out, args.format)
 
 
@@ -144,7 +139,7 @@ def cmd_converge(args):
     limit_value, _ = kac_rice.correlation(limit_query)
     rows = []
     deviations = []
-    levels = [int(round(N)) for N in parse_grid(args.levels)]
+    levels = [int(round(N)) for N in args.levels]
     for N in levels:
         scaled_points = tuple(tuple(c / np.sqrt(N) for c in p) for p in points)
         query = kac_rice.CorrelationQuery(
@@ -162,9 +157,8 @@ def cmd_converge(args):
 
 
 def cmd_mc(args):
-    bins = parse_grid(args.bins)
     hist = empirical.pair_correlation_estimate(
-        args.N, args.samples, args.window, bins, args.seed,
+        args.N, args.samples, args.window, args.bins, args.seed,
         process="poisson" if args.poisson else "roots",
     )
     rows = []
@@ -186,9 +180,11 @@ def cmd_mc(args):
 
 
 def cmd_kernel_check(args):
+    if args.grid_steps < 1:
+        raise DomainError("the grid needs at least 1 step")
     grid = np.linspace(-args.grid_extent, args.grid_extent, args.grid_steps)
     us = [complex(x, y) for x in grid for y in grid]
-    levels = [int(round(N)) for N in parse_grid(args.levels)]
+    levels = [int(round(N)) for N in args.levels]
     rows = []
     deviations = []
     for N in levels:
@@ -228,8 +224,13 @@ def cmd_connected(args):
     write_table(header, [(n, t_value, bound)], args.out, args.format)
 
 
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):  # one line on stderr, without the usage
+        self.exit(2, f"{self.prog}: error: {message}\n")
+
+
 def build_parser():
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="zerocorr",
         description="Correlation functions of zeros of Gaussian random polynomials.",
     )
@@ -238,7 +239,6 @@ def build_parser():
     def common(p):
         p.add_argument("--out", default=None, help="output path (default: stdout)")
         p.add_argument("--format", choices=["csv", "json"], default="csv")
-        p.add_argument("--seed", type=int, default=0)
 
     p = sub.add_parser(
         "kappa", help="closed-form pair correlation over a grid of r",
@@ -246,7 +246,7 @@ def build_parser():
     )
     p.add_argument("--k", type=int, default=1)
     p.add_argument("--m", type=int, default=1)
-    p.add_argument("--r", required=True, help="grid spec a..b:n[:log]")
+    p.add_argument("--r", type=parse_grid, required=True, help="grid spec a..b:n[:log]")
     common(p)
     p.set_defaults(func=cmd_kappa)
 
@@ -266,6 +266,7 @@ def build_parser():
                    help="explicit configuration, e.g. '0,0;1+1j,0'")
     p.add_argument("--method", choices=["exact", "mc"], default="exact")
     p.add_argument("--samples", type=int, default=10 ** 6)
+    p.add_argument("--seed", type=int, default=0)
     common(p)
     p.set_defaults(func=cmd_correlate)
 
@@ -277,7 +278,8 @@ def build_parser():
     p.add_argument("--k", type=int, default=1)
     p.add_argument("--n", type=int, default=2)
     p.add_argument("--r", type=float, default=1.0)
-    p.add_argument("--levels", default="64..4096:4:log", help="grid spec for N")
+    p.add_argument("--levels", type=parse_grid, default="64..4096:4:log",
+                   help="grid spec for N")
     common(p)
     p.set_defaults(func=cmd_converge)
 
@@ -289,9 +291,11 @@ def build_parser():
     p.add_argument("--N", type=int, default=500)
     p.add_argument("--samples", type=int, default=2000)
     p.add_argument("--window", type=float, default=4.4)
-    p.add_argument("--bins", default="0.2..3:15", help="bin edges grid spec")
+    p.add_argument("--bins", type=parse_grid, default="0.2..3:15",
+                   help="bin edges grid spec")
     p.add_argument("--poisson", action="store_true",
                    help="calibration run on uniform points")
+    p.add_argument("--seed", type=int, default=0)
     common(p)
     p.set_defaults(func=cmd_mc)
 
@@ -300,7 +304,7 @@ def build_parser():
         epilog="columns: N, sup_deviation, rate_exponent",
     )
     p.add_argument("--m", type=int, default=1)
-    p.add_argument("--levels", default="100..6400:4:log")
+    p.add_argument("--levels", type=parse_grid, default="100..6400:4:log")
     p.add_argument("--grid-extent", type=float, default=2.0)
     p.add_argument("--grid-steps", type=int, default=9)
     common(p)
@@ -324,6 +328,8 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         args.func(args)
+    except argparse.ArgumentTypeError as exc:
+        parser.error(str(exc))
     except ZerocorrError as exc:
         print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
         return 1

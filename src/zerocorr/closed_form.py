@@ -227,18 +227,20 @@ def decay_bound(points):
 
     Maximizes the product of r^2 e^{-r^2/2} edge factors over connected
     multigraphs on the points with every vertex of degree >= 2 and at
-    most 2n edges in total.  Supported for n = 2 or 3.
+    most 2n edges in total.  Every factor is at most 2/e < 1, and lowering
+    a multiplicity above 2 to 2 keeps the graph admissible, so only
+    multiplicities 0, 1 and 2 are searched.  Supported for 2 <= n <= 5.
     """
     points = [np.atleast_1d(np.asarray(p, dtype=complex)) for p in points]
     n = len(points)
-    if n not in (2, 3):
-        raise SizeLimitExceeded("decay bound supported for 2 <= n <= 3")
+    if not 2 <= n <= 5:
+        raise SizeLimitExceeded("decay bound supported for 2 <= n <= 5")
     pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
     weights = [
         _edge_weight(np.linalg.norm(points[i] - points[j])) for i, j in pairs
     ]
     best = 0.0
-    for mult in product(range(2 * n + 1), repeat=len(pairs)):
+    for mult in product(range(3), repeat=len(pairs)):
         if not 2 <= sum(mult) <= 2 * n:
             continue
         degree = [0] * n

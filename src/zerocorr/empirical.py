@@ -40,7 +40,7 @@ def sample_su2_polynomial(N, seed, stream=0):
     stay finite.  Deterministic for a fixed (seed, stream).
     """
     if not 2 <= N <= 2000:
-        raise ValueError("degree must satisfy 2 <= N <= 2000")
+        raise DomainError("degree must satisfy 2 <= N <= 2000")
     j = np.arange(N + 1)
     half_log_binom = 0.5 * (gammaln(N + 1) - gammaln(j + 1) - gammaln(N - j + 1))
     rng = philox(seed, stream)
@@ -182,7 +182,7 @@ def polynomial_roots(sample, polish_steps=3, radius=None):
     poly = coeffs[: effective + 1][::-1]  # highest power first, for numpy
     if radius is not None:
         if not (np.isfinite(radius) and radius > 0):
-            raise ValueError("radius must be positive and finite")
+            raise DomainError("radius must be positive and finite")
         for factor in CERTIFICATE_FACTORS:
             roots = _certified_window_roots(poly, radius, factor, polish_steps)
             if roots is not None:
@@ -296,7 +296,7 @@ def pair_correlation_estimate(N, samples, window, bins, seed, process="roots"):
         raise DomainError(f"the pair estimate needs at least 2 samples, got {samples}")
     bins = np.asarray(bins, dtype=float)
     if bins.ndim != 1 or len(bins) < 2 or np.any(np.diff(bins) <= 0):
-        raise ValueError("bins must be increasing edges")
+        raise DomainError("bins must be increasing edges")
     r_max = bins[-1]
     if window > MAX_WINDOW or r_max > window:
         raise WindowTooLarge(

@@ -21,7 +21,7 @@ class SizeLimitExceeded(ZerocorrError):
     """An exact combinatorial evaluation was requested above its size cap."""
 
 
-class DomainError(ZerocorrError):
+class DomainError(ZerocorrError, ValueError):
     """Arguments are outside the domain where a formula is defined."""
 
 

@@ -1,11 +1,10 @@
 """Zero-correlation functions via the jet-covariance route.
 
-The joint covariance of section values and first derivatives at the query
-points is assembled from kernel jets in reduced form (per-section blocks;
-the k independent sections only enter through a Kronecker identity
-factor).  Conditioning on the sections vanishing at the points gives the
-jet covariance, and the correlation is a Gaussian determinant-product
-expectation divided by pi^{kn} det(a)^k.
+The joint covariance of one section's values and first derivatives at the
+query points is assembled from kernel jets.  Conditioning on the section
+vanishing at the points gives its (n*m)-sized jet covariance, and the
+correlation is the Gaussian determinant-product expectation over k
+independent copies of that section, divided by pi^{kn} det(a)^k.
 
 The jets take derivatives along an orthonormal frame of each model's own
 metric, so with the default ``volume="metric"`` the jet covariance is used
@@ -17,12 +16,12 @@ point's derivatives to the coordinate frame, and so counts zeros per unit
 coordinate volume.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import closed_form
-from .errors import NearSingular, SizeLimitExceeded
+from .errors import DomainError, NearSingular
 from .gaussian import expectation_det_product
 from .kernels import kernel_jet
 from .linalg import determinant, hermitian_solve
@@ -47,21 +46,18 @@ class CorrelationQuery:
 
     def __post_init__(self):
         if self.volume not in ("metric", "euclidean"):
-            raise ValueError("volume must be 'metric' or 'euclidean'")
+            raise DomainError("volume must be 'metric' or 'euclidean'")
         m = self.model.m
         if not 1 <= self.k <= m:
-            raise ValueError("codimension k must satisfy 1 <= k <= m")
+            raise DomainError("codimension k must satisfy 1 <= k <= m")
+        if self.n < 1:
+            raise DomainError("the number of points n must be at least 1")
         points = tuple(
             np.atleast_1d(np.asarray(p, dtype=complex)).reshape(m) for p in self.points
         )
         if len(points) != self.n:
-            raise ValueError("number of points must equal n")
+            raise DomainError("number of points must equal n")
         object.__setattr__(self, "points", points)
-        if self.method == "exact":
-            if self.k == 1 and self.n > 3:
-                raise SizeLimitExceeded("exact k=1 supports n <= 3")
-            if self.k >= 2 and self.n > 2:
-                raise SizeLimitExceeded("exact k>=2 supports n <= 2")
         _check_separation(self.model, points)
 
 
@@ -80,12 +76,11 @@ def _check_separation(model, points):
 
 @dataclass(frozen=True)
 class CovarianceBlocks:
-    """Reduced covariance blocks: a is n x n, b is n x nm, c is nm x nm."""
+    """One section's covariance blocks: a is n x n, b is n x nm, c is nm x nm."""
 
     a: np.ndarray
     b: np.ndarray
     c: np.ndarray
-    k: int = 1
 
 
 def assemble_blocks(query):
@@ -114,11 +109,11 @@ def assemble_blocks(query):
             a[p, pp] = jet.s
             b[p, pp * m:(pp + 1) * m] = jet.grad
             c[p * m:(p + 1) * m, pp * m:(pp + 1) * m] = jet.hess
-    return CovarianceBlocks(a=a, b=b, c=c, k=query.k)
+    return CovarianceBlocks(a=a, b=b, c=c)
 
 
 def jet_covariance(blocks):
-    """Conditional first-derivative covariance c - b* a^-1 b, reduced form.
+    """Conditional first-derivative covariance c - b* a^-1 b of one section.
 
     Result is symmetrized; an asymmetry above 1e-10 relative indicates a
     bad block assembly and raises.
@@ -130,15 +125,6 @@ def jet_covariance(blocks):
     if asym > 1e-10 * scale:
         raise ArithmeticError(f"jet covariance asymmetry {asym:.3e} exceeds tolerance")
     return 0.5 * (lam + lam.conj().T)
-
-
-def _expand_sections(lam, n, k, m):
-    """Insert the identity factor over section indices: (p,q) -> (p,j,q)."""
-    if k == 1:
-        return lam
-    lam4 = lam.reshape(n, m, n, m)
-    full = np.einsum("pqrs,jl->pjqrls", lam4, np.eye(k))
-    return full.reshape(n * k * m, n * k * m)
 
 
 def _coordinate_volume(lam, query):
@@ -162,9 +148,8 @@ def correlation(query):
     if query.volume == "euclidean":
         lam = _coordinate_volume(lam, query)
     n, k, m = query.n, query.k, query.model.m
-    lam_full = _expand_sections(lam, n, k, m)
     value, err = expectation_det_product(
-        lam_full, n, k, m,
+        lam, n, k, m,
         method=query.method, samples=query.samples, seed=query.seed,
     )
     det_a = determinant(blocks.a).real

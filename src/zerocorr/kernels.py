@@ -25,8 +25,8 @@ along the coordinates are X times those along the frame and X X* is the
 metric at z.  It is the identity for the flat models, whose coordinate
 frame is already orthonormal.  ``model._centered(points)`` moves a query's
 points by an isometry of the model to where the jets keep the most digits:
-the projective model takes the first point to the origin, and the flat
-models leave the points where they are.
+each model takes the first point to the origin, the flat models by a
+translation.
 """
 
 import cmath
@@ -35,6 +35,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.special import gammaln
+
+from .errors import DomainError
 
 
 @dataclass(frozen=True)
@@ -67,9 +69,9 @@ class KernelJet:
 
 def _check_model(m, N):
     if not 1 <= m <= 4:
-        raise ValueError("supported dimensions are 1 <= m <= 4")
+        raise DomainError("supported dimensions are 1 <= m <= 4")
     if N < 1:
-        raise ValueError("level N must be a positive integer")
+        raise DomainError("level N must be a positive integer")
 
 
 @dataclass(frozen=True)
@@ -189,8 +191,8 @@ class HeisenbergLevel:
         return KernelJet(s=s, grad=ns * d, hess=hess)
 
     def _centered(self, points):
-        """The points as given: flat jets are formed from differences, up to pair phases."""
-        return points
+        """The points translated to put the first at the origin: pair phases grow with |w|."""
+        return [w - points[0] for w in points]
 
     def _coordinate_frame(self, z):
         """The identity: the coordinate frame is orthonormal for the Euclidean metric."""
@@ -224,6 +226,8 @@ def fs_scaled_szego(N, m, u, v):
     do not overflow.  Converges to ``heisenberg_limit_kernel`` at rate
     N^(-1/2) on compact windows.
     """
+    if N < 1:
+        raise DomainError("level N must be a positive integer")
     u = _as_point(u, m)
     v = _as_point(v, m)
     log_ratio = gammaln(N + m + 1) - gammaln(N + 1) - m * np.log(N)

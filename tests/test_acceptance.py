@@ -184,7 +184,7 @@ def test_criterion_8_monte_carlo_cross_check():
         n = int(rng.integers(1, 3))
         m = int(rng.integers(1, 4))
         k = int(rng.integers(1, min(m, 2) + 1))
-        dim = n * k * m
+        dim = n * m  # one section's covariance; the k sections are independent
         g = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
         lam = g @ g.conj().T + dim * np.eye(dim)
         exact, _ = expectation_det_product(lam, n, k, m)

@@ -1,6 +1,8 @@
 """Tests for the command-line front end."""
 
 import json
+import math
+from contextlib import nullcontext
 
 import pytest
 
@@ -195,6 +197,38 @@ class TestKernelCheckCommand:
         assert devs[1] < devs[0]
 
 
+class TestBadArguments:
+    # Each bad argument ends in one line on stderr: a ZerocorrError (exit 1)
+    # or a usage error (exit 2), never a traceback.
+    @pytest.mark.parametrize("code,args", [
+        pytest.param(1, ["correlate", "--model", "fs", "--N", "0"], id="level-0"),
+        pytest.param(1, ["correlate", "--model", "fs", "--m", "5"], id="dimension-5"),
+        pytest.param(1, ["correlate", "--model", "heisenberg-limit", "--m", "2", "--k", "3"],
+                     id="codimension-above-m"),
+        pytest.param(1, ["correlate", "--model", "heisenberg-limit", "--n", "2",
+                         "--points", "0"], id="too-few-points"),
+        pytest.param(1, ["correlate", "--model", "heisenberg-limit", "--n", "0"],
+                     id="no-points"),
+        pytest.param(2, ["correlate", "--model", "heisenberg-limit", "--n", "2",
+                         "--points", "0;x"], id="bad-point"),
+        pytest.param(1, ["mc", "--N", "3000"], id="degree-3000"),
+        pytest.param(1, ["mc", "--bins", "1..0.5:3"], id="decreasing-bins"),
+        pytest.param(2, ["kappa", "--r", "0..1:0"], id="empty-grid"),
+        pytest.param(2, ["kappa", "--r", "0..1:2", "--seed", "3"], id="unused-seed"),
+        pytest.param(1, ["kernel-check", "--levels", "0..1:2"], id="level-grid-from-0"),
+        pytest.param(1, ["kernel-check", "--grid-steps", "-1"], id="negative-grid-steps"),
+        pytest.param(1, ["converge", "--levels", "64..64:1"], id="one-level"),
+    ])
+    def test_one_line_on_stderr(self, capsys, code, args):
+        with pytest.raises(SystemExit) if code == 2 else nullcontext() as info:
+            result = main(args)
+        captured = capsys.readouterr()
+        assert (info.value.code if code == 2 else result) == code
+        assert captured.out == ""
+        assert len(captured.err.splitlines()) == 1
+        assert "Traceback" not in captured.err
+
+
 class TestConnectedCommand:
     def test_pair(self, capsys):
         code, out, _ = run_cli(
@@ -204,3 +238,12 @@ class TestConnectedCommand:
         row = out.strip().split("\n")[1].split(",")
         t2 = float(row[1])
         assert t2 == pytest.approx(0.4735538040324709659 - 1.0, abs=1e-10)
+
+    @pytest.mark.parametrize("points", ["0;1.0;2.0;0.5+1j", "0;1.0;2.0;0.5+1j;1.5-0.8j"])
+    def test_four_and_five_points(self, capsys, points):
+        code, out, _ = run_cli(capsys, "connected", "--m", "1", "--points", points,
+                               "--format", "json")
+        assert code == 0
+        (row,) = json.loads(out)
+        assert row["n"] == len(points.split(";"))
+        assert math.isfinite(row["T_connected"]) and math.isfinite(row["decay_bound"])

@@ -1,6 +1,7 @@
 """Tests for the closed-form pair correlations and connected-correlation algebra."""
 
 import math
+from itertools import product
 
 import numpy as np
 import pytest
@@ -9,6 +10,8 @@ from zerocorr.closed_form import (
     SERIES_SWITCH_R_K2,
     SERIES_SWITCH_R_K22,
     SERIES_SWITCH_T_K1,
+    _connected,
+    _edge_weight,
     connected_correlations,
     correlations_from_connected,
     decay_bound,
@@ -247,6 +250,46 @@ class TestDecayBound:
         # equilateral triangle: the 3-cycle beats heavier multigraphs
         assert decay_bound(pts) == pytest.approx(w ** 3, rel=1e-12)
 
+    @pytest.mark.parametrize("n", [4, 5])
+    def test_regular_polygon_is_a_cycle(self, n):
+        # Sides of length 2 outweigh the diagonals (r^2 e^{-r^2/2} falls past
+        # sqrt(2)), and an admissible multigraph has at least n edges.
+        side = 2.0
+        radius = side / (2 * math.sin(math.pi / n))
+        pts = [(radius * np.exp(2j * math.pi * p / n),) for p in range(n)]
+        assert decay_bound(pts) == pytest.approx(_edge_weight(side) ** n, rel=1e-12)
+
+    @pytest.mark.parametrize("n,configs", [(2, 300), (3, 300), (4, 2)])
+    def test_matches_search_over_all_multiplicities(self, n, configs):
+        rng = np.random.default_rng(n)
+        for _ in range(configs):
+            pts = rng.normal(size=(n, 2)) * rng.uniform(0.3, 3.0)
+            pts = [(z,) for z in pts[:, 0] + 1j * pts[:, 1]]
+            assert decay_bound(pts) == full_search_bound(pts)
+
     def test_size_cap(self):
         with pytest.raises(SizeLimitExceeded):
-            decay_bound([(0.0,)] * 4)
+            decay_bound([(0.0,)] * 6)
+
+
+def full_search_bound(points):
+    """decay_bound over every multiplicity 0..2n per edge, not only 0..2."""
+    points = [np.atleast_1d(np.asarray(p, dtype=complex)) for p in points]
+    n = len(points)
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    weights = [_edge_weight(np.linalg.norm(points[i] - points[j])) for i, j in pairs]
+    best = 0.0
+    for mult in product(range(2 * n + 1), repeat=len(pairs)):
+        if not 2 <= sum(mult) <= 2 * n:
+            continue
+        degree = [0] * n
+        for (i, j), e in zip(pairs, mult):
+            degree[i] += e
+            degree[j] += e
+        if min(degree) < 2 or not _connected(n, pairs, mult):
+            continue
+        value = 1.0
+        for w, e in zip(weights, mult):
+            value *= w ** e
+        best = max(best, value)
+    return best

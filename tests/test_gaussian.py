@@ -15,13 +15,20 @@ from zerocorr.gaussian import (
     sample_complex_gaussian,
     wick_mixed_moment,
 )
-from zerocorr.kac_rice import _expand_sections
+from zerocorr.linalg import permanent
 
 
 def random_hpd(n, seed):
     rng = np.random.default_rng(seed)
     g = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
     return g @ g.conj().T + n * np.eye(n)
+
+
+def expand_sections(lam, n, k, m):
+    """The joint covariance lam (x) I_k of k independent sections, indexed (p, j, q)."""
+    lam4 = lam.reshape(n, m, n, m)
+    full = np.einsum("pqrs,jl->pjqrls", lam4, np.eye(k))
+    return full.reshape(n * k * m, n * k * m)
 
 
 class TestWickMoment:
@@ -93,11 +100,11 @@ class TestDetProductExpectation:
     @pytest.mark.parametrize("m", [1, 2, 3, 4])
     def test_identity_values(self, m):
         for k in range(1, m + 1):
-            value, err = expectation_det_product(np.eye(k * m), 1, k, m)
+            value, err = expectation_det_product(np.eye(m), 1, k, m)
             expected = math.factorial(m) / math.factorial(m - k)
             assert value == pytest.approx(expected, rel=1e-12)
             assert err == 0.0
-            mc, mc_err = expectation_det_product(np.eye(k * m), 1, k, m, method="monte_carlo",
+            mc, mc_err = expectation_det_product(np.eye(m), 1, k, m, method="monte_carlo",
                                                  samples=MC_CHUNK, seed=k)
             assert abs(mc - expected) < 4.0 * mc_err
 
@@ -107,14 +114,14 @@ class TestDetProductExpectation:
 
     def test_scaling_homogeneity(self):
         n, k, m = 2, 1, 2
-        lam = random_hpd(n * k * m, seed=8)
+        lam = random_hpd(n * m, seed=8)
         base, _ = expectation_det_product(lam, n, k, m)
         scaled, _ = expectation_det_product(2.0 * lam, n, k, m)
         assert scaled == pytest.approx(2.0 ** (k * n) * base, rel=1e-10)
 
     def test_monte_carlo_agrees(self):
         n, k, m = 2, 1, 2
-        lam = random_hpd(n * k * m, seed=9)
+        lam = random_hpd(n * m, seed=9)
         exact, _ = expectation_det_product(lam, n, k, m)
         mc, err = expectation_det_product(
             lam, n, k, m, method="monte_carlo", samples=200000, seed=10
@@ -133,7 +140,7 @@ class TestDetProductExpectation:
         # The Monte Carlo mean averages the draws sample_complex_gaussian
         # makes from the same seed, across a chunk boundary.
         n, k, m = 2, 1, 2
-        lam = random_hpd(n * k * m, seed=13)
+        lam = random_hpd(n * m, seed=13)
         samples = MC_CHUNK + 500
         draws = sample_complex_gaussian(GaussianSpec(lam), samples, seed=14)
         per_point = (np.abs(draws.reshape(samples, n, m)) ** 2).sum(axis=2)
@@ -150,10 +157,34 @@ class TestDetProductExpectation:
     def test_exact_size_cap(self):
         with pytest.raises(SizeLimitExceeded):
             expectation_det_product(np.eye(9), 9, 1, 1)
+        with pytest.raises(SizeLimitExceeded):
+            expectation_det_product(np.eye(15), 3, 3, 5)
 
     def test_bad_size(self):
         with pytest.raises(ValueError):
             expectation_det_product(np.eye(3), 2, 1, 1)
+        with pytest.raises(ValueError):
+            expectation_det_product(np.eye(8), 2, 2, 2)  # n*k*m, not n*m
+
+    @pytest.mark.parametrize("n", range(4, 9))
+    def test_one_section_on_a_line_is_permanent(self, n):
+        # k = m = 1: prod_p |a_p|^2 has expectation perm(lam) by Wick, at the
+        # n that exact queries with one section gained when their caps went.
+        lam = random_hpd(n, seed=60 + n)
+        value, _ = expectation_det_product(lam, n, 1, 1)
+        assert value == pytest.approx(permanent(lam).real, rel=1e-12)
+
+    def test_monte_carlo_draws_joint_covariance(self):
+        # The draws are those of the joint covariance lam (x) I_k from the
+        # same seed: the factor repeated over the sections is its Cholesky factor.
+        n, k, m = 2, 3, 3
+        lam = random_hpd(n * m, seed=15)
+        mc, _ = expectation_det_product(lam, n, k, m, method="monte_carlo",
+                                        samples=5000, seed=16)
+        draws = sample_complex_gaussian(GaussianSpec(expand_sections(lam, n, k, m)),
+                                        5000, seed=16)
+        reference = reference_det_products(draws, n, k, m).mean()
+        assert mc == pytest.approx(reference, rel=1e-12)
 
 
 def reference_det_products(draws, n, k, m):
@@ -208,10 +239,9 @@ def reference_expectation(lam, n, k, m):
     return total.real
 
 
-# Every (n, k, m) that an exact CorrelationQuery admits (k = 1: n <= 3;
-# k >= 2: n <= 2; m <= 4) and whose reference finishes in under 10 s;
-# (2, 3, 4) and (2, 4, 4) are left out.
-ADMITTED_SIZES = (
+# Sizes with k = 1 and n <= 3, or k >= 2 and n <= 2, up to m = 4, whose
+# reference finishes in under 10 s; (2, 3, 4) and (2, 4, 4) are left out.
+REFERENCE_SIZES = (
     [(n, 1, m) for n in (1, 2, 3) for m in (1, 2, 3, 4)]
     + [(n, k, m) for n in (1, 2) for k in (2, 3) for m in range(k, 5)
        if (n, k, m) != (2, 3, 4)]
@@ -220,17 +250,22 @@ ADMITTED_SIZES = (
 
 
 class TestExactAgainstWickReference:
-    @pytest.mark.parametrize("n,k,m", ADMITTED_SIZES)
+    # The reference takes the joint covariance of the k sections, lam (x) I_k.
+    @pytest.mark.parametrize("n,k,m", REFERENCE_SIZES)
     def test_section_expanded(self, n, k, m):
-        lam = _expand_sections(random_hpd(n * m, seed=20 + n + k + m), n, k, m)
+        lam = random_hpd(n * m, seed=20 + n + k + m)
         value, _ = expectation_det_product(lam, n, k, m)
-        assert value == pytest.approx(reference_expectation(lam, n, k, m), rel=1e-12)
+        reference = reference_expectation(expand_sections(lam, n, k, m), n, k, m)
+        assert value == pytest.approx(reference, rel=1e-12)
 
-    # Dense covariances at the admitted sizes cover acceptance criterion 8
-    # (n <= 2, k <= 2, m <= 3); (3, 2, 2) and (4, 1, 2) are public-API
-    # sizes beyond CorrelationQuery.
-    @pytest.mark.parametrize("n,k,m", ADMITTED_SIZES + [(3, 2, 2), (4, 1, 2)])
+    # One section (k = 1), where lam is the whole covariance, plus (3, 2, 2)
+    # and (4, 1, 2), which the exact route admits since its per-query caps
+    # went.
+    @pytest.mark.parametrize(
+        "n,k,m", [s for s in REFERENCE_SIZES if s[1] == 1] + [(3, 2, 2), (4, 1, 2)]
+    )
     def test_dense(self, n, k, m):
-        lam = random_hpd(n * k * m, seed=40 + n + k + m)
+        lam = random_hpd(n * m, seed=40 + n + k + m)
         value, _ = expectation_det_product(lam, n, k, m)
-        assert value == pytest.approx(reference_expectation(lam, n, k, m), rel=1e-12)
+        reference = reference_expectation(expand_sections(lam, n, k, m), n, k, m)
+        assert value == pytest.approx(reference, rel=1e-12)

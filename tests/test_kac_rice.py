@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from zerocorr import closed_form
-from zerocorr.errors import NearSingular, SizeLimitExceeded
+from zerocorr.errors import DomainError, NearSingular, SizeLimitExceeded
 from zerocorr.kac_rice import (
     CorrelationQuery,
     assemble_blocks,
@@ -27,6 +27,15 @@ def limit_query(points, k=1, **kwargs):
 
 def collinear(n, m, r):
     return tuple(tuple([p * r] + [0.0] * (m - 1)) for p in range(n))
+
+
+def cluster(n, m, seed):
+    """n points near the origin of C^m, pairwise at least 0.5 apart."""
+    rng = np.random.default_rng([n, m, seed])
+    while True:
+        pts = [(rng.normal(size=m) + 1j * rng.normal(size=m)) * 0.8 for _ in range(n)]
+        if all(np.linalg.norm(a - b) >= 0.5 for i, a in enumerate(pts) for b in pts[i + 1:]):
+            return tuple(tuple(p) for p in pts)
 
 
 class TestPairAgainstClosedForm:
@@ -95,6 +104,19 @@ class TestInvariances:
         a, _ = normalized_correlation(limit_query(pts))
         b, _ = normalized_correlation(limit_query([p + shift for p in pts]))
         assert np.isclose(a, b, rtol=1e-10)
+
+    def test_translation_far_from_origin(self):
+        # A cluster that hypothesis found: at |z| ~ 967 the flat pair phases
+        # round differently in s(z, w) and s(w, z) unless the jets are taken
+        # with the first point at the origin, and the jet covariance fails its
+        # Hermitian check.  The gap left is the rounding of the shifted input.
+        model = HeisenbergLevel(151, 1)
+        pts = [np.array([c]) / np.sqrt(151) for c in (0.0, 0.5, 0.25 + 0.3125j)]
+        base, _ = normalized_correlation(CorrelationQuery(model, 3, 1, tuple(pts)))
+        moved, _ = normalized_correlation(
+            CorrelationQuery(model, 3, 1, tuple(p - 967.0 for p in pts))
+        )
+        assert np.isclose(moved, base, rtol=1e-10, atol=0.0)
 
     def test_rotation(self):
         phase = np.exp(0.7j)
@@ -173,6 +195,22 @@ class TestMonteCarloRoute:
         assert elapsed < 10.0
         assert abs(mc - exact) < 5.0 * err
 
+    # Every (n, k) that the exact route gained when the per-query caps went
+    # (k = 1 with n = 4-8, k = 2 with n = 3-4), with m cycling through 1-4.
+    # The determinant product is heavy-tailed at n >= 6, so those sizes take
+    # 2^20 samples.
+    @pytest.mark.parametrize(
+        "n,k,m", [(4, 1, 1), (5, 1, 2), (6, 1, 3), (7, 1, 4), (8, 1, 1), (3, 2, 2), (4, 2, 3)]
+    )
+    def test_newly_admitted_sizes(self, n, k, m):
+        points = cluster(n, m, seed=0)
+        exact, _ = correlation(CorrelationQuery(HeisenbergLimit(m), n, k, points))
+        mc, err = correlation(CorrelationQuery(
+            HeisenbergLimit(m), n, k, points, method="monte_carlo",
+            samples=2 ** 20 if n >= 6 else 2 ** 18, seed=0,
+        ))
+        assert abs(mc - exact) < 4.0 * err
+
 
 class TestJetCovariance:
     def test_hermitian(self):
@@ -192,14 +230,15 @@ class TestValidation:
             CorrelationQuery(model=HeisenbergLimit(1), n=2, k=1, points=((0.0,),))
 
     def test_exact_size_caps(self):
-        with pytest.raises(SizeLimitExceeded):
-            CorrelationQuery(
-                model=HeisenbergLimit(1), n=4, k=1, points=collinear(4, 1, 1.0)
-            )
-        with pytest.raises(SizeLimitExceeded):
-            CorrelationQuery(
-                model=HeisenbergLimit(3), n=3, k=2, points=collinear(3, 3, 1.0)
-            )
+        # The exact route takes k * n <= 8; the query itself has no size cap.
+        for m, n, k in [(1, 9, 1), (3, 3, 3), (4, 5, 2)]:
+            query = CorrelationQuery(HeisenbergLimit(m), n, k, collinear(n, m, 1.0))
+            with pytest.raises(SizeLimitExceeded):
+                correlation(query)
+
+    def test_no_points(self):
+        with pytest.raises(DomainError):
+            CorrelationQuery(model=HeisenbergLimit(1), n=0, k=1, points=())
 
     def test_near_coincident_points(self):
         with pytest.raises(NearSingular):
