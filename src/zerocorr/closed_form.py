@@ -233,7 +233,9 @@ def decay_bound(points):
     """
     points = [np.atleast_1d(np.asarray(p, dtype=complex)) for p in points]
     n = len(points)
-    if not 2 <= n <= 5:
+    if n < 2:
+        raise DomainError("a connected correlation needs at least 2 points")
+    if n > 5:
         raise SizeLimitExceeded("decay bound supported for 2 <= n <= 5")
     pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
     weights = [

@@ -98,7 +98,6 @@ def _exact_expectation(lam, n, k, m):
     # over sigma_p in S_k, Wick pairs a_x with conj(a_rho(x)), and the column
     # sums close along the cycles of pi = sigma^-1 rho into block traces.
     # Independent sections pair only with themselves: rho(p, j) = (rho_j(p), j).
-    GaussianSpec(lam)  # rejects non-square or non-Hermitian lam
     size = n * k
     blocks = lam.reshape(n, m, n, m).transpose(0, 2, 1, 3)
     pairings = [[rhos[x % k][x // k] * k + x % k for x in range(size)]
@@ -154,13 +153,14 @@ def expectation_det_product(lam, n, k, m, method="exact", samples=10 ** 6, seed=
     ``lam`` repeated over the sections: (n*k*m, S) arrays, samples last, with
     chunk i from Philox stream i.  Each determinant is a Gram determinant
     taken by Gram-Schmidt along the sample axis, and the chunks' (count,
-    mean, squared deviation) are merged with Chan's update.
+    mean, squared deviation) are merged with Chan's update.  Both methods
+    check that ``lam`` is finite and Hermitian, else raise ``DomainError``.
 
     Returns (value, standard_error); the exact path reports 0.0 error.
     """
     lam = np.asarray(lam, dtype=complex)
-    if lam.shape != (n * m, n * m):
-        raise ValueError("covariance size must be n*m")
+    if lam.shape != (n * m, n * m) or not (np.isfinite(lam).all() and is_hermitian(lam)):
+        raise DomainError("covariance must be a finite Hermitian matrix of size n*m")
     if method == "exact":
         if k * n > EXACT_PAIRING_LIMIT or m > 4:
             raise SizeLimitExceeded(

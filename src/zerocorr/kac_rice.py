@@ -8,12 +8,12 @@ independent copies of that section, divided by pi^{kn} det(a)^k.
 
 The jets take derivatives along an orthonormal frame of each model's own
 metric, so with the default ``volume="metric"`` the jet covariance is used
-as it is and the correlation counts zeros per unit metric volume.  Such
-correlations are invariant under the model's isometries, so the jets are
-taken at ``model._centered(points)``, where they keep the most digits.
-``volume="euclidean"`` takes the jets at the points as given, then each
-point's derivatives to the coordinate frame, and so counts zeros per unit
-coordinate volume.
+as it is and the correlation counts zeros per unit metric volume.
+``volume="euclidean"`` takes each point's derivatives to the coordinate
+frame, and so counts zeros per unit coordinate volume.  The jets are taken
+at ``model._centered(points, volume)``, where they keep the most digits:
+the model moves the points by an isometry that leaves the correlation in
+that volume unchanged, or leaves them as given.
 """
 
 from dataclasses import dataclass
@@ -52,11 +52,11 @@ class CorrelationQuery:
             raise DomainError("codimension k must satisfy 1 <= k <= m")
         if self.n < 1:
             raise DomainError("the number of points n must be at least 1")
-        points = tuple(
-            np.atleast_1d(np.asarray(p, dtype=complex)).reshape(m) for p in self.points
-        )
+        points = tuple(np.asarray(p, dtype=complex).ravel() for p in self.points)
         if len(points) != self.n:
             raise DomainError("number of points must equal n")
+        if any(p.shape != (m,) or not np.isfinite(p).all() for p in points):
+            raise DomainError(f"every point must be a finite point of C^{m}")
         object.__setattr__(self, "points", points)
         _check_separation(self.model, points)
 
@@ -91,39 +91,41 @@ def assemble_blocks(query):
     value block has a unit diagonal and no entry grows with the points'
     modulus or separation.  The correlation is exactly invariant
     under this per-point rescaling and under the connection terms, which
-    add multiples of the values to the derivatives.  Per unit metric volume
-    it is also invariant under the model's isometries, so those queries
-    take their jets at ``model._centered(points)``.
+    add multiples of the values to the derivatives.  One jet per point pair,
+    p <= p', at ``model._centered(points, volume)``, fills the (p, p') blocks
+    and, conjugated, the (p', p) blocks.
     """
     model = query.model
     n, m = query.n, model.m
-    points = query.points
-    if query.volume == "metric":
-        points = model._centered(points)
+    points = model._centered(query.points, query.volume)
     a = np.zeros((n, n), dtype=complex)
     b = np.zeros((n, n * m), dtype=complex)
     c = np.zeros((n * m, n * m), dtype=complex)
     for p in range(n):
-        for pp in range(n):
+        for pp in range(p, n):
             jet = kernel_jet(model, points[p], points[pp])
             a[p, pp] = jet.s
             b[p, pp * m:(pp + 1) * m] = jet.grad
             c[p * m:(p + 1) * m, pp * m:(pp + 1) * m] = jet.hess
+            if pp > p:
+                a[pp, p] = jet.s.conjugate()
+                b[pp, p * m:(p + 1) * m] = jet.grad_z.conj()
+                c[pp * m:(pp + 1) * m, p * m:(p + 1) * m] = jet.hess.conj().T
     return CovarianceBlocks(a=a, b=b, c=c)
 
 
 def jet_covariance(blocks):
     """Conditional first-derivative covariance c - b* a^-1 b of one section.
 
-    Result is symmetrized; an asymmetry above 1e-10 relative indicates a
-    bad block assembly and raises.
+    Result is symmetrized; an asymmetry above 1e-10 relative is left by a
+    solve that lost its digits to a nearly singular a, and raises.
     """
     solved = hermitian_solve(blocks.a, blocks.b)
     lam = blocks.c - blocks.b.conj().T @ solved
     asym = np.abs(lam - lam.conj().T).max()
     scale = max(np.abs(lam).max(), 1.0)
     if asym > 1e-10 * scale:
-        raise ArithmeticError(f"jet covariance asymmetry {asym:.3e} exceeds tolerance")
+        raise NearSingular(f"jet covariance asymmetry {asym:.3e} exceeds tolerance")
     return 0.5 * (lam + lam.conj().T)
 
 

@@ -23,10 +23,10 @@ unit metric volume.  Every jet entry stays bounded, whatever the points.
 coordinate vector d/dz_q in the orthonormal frame at z, so derivatives
 along the coordinates are X times those along the frame and X X* is the
 metric at z.  It is the identity for the flat models, whose coordinate
-frame is already orthonormal.  ``model._centered(points)`` moves a query's
-points by an isometry of the model to where the jets keep the most digits:
-each model takes the first point to the origin, the flat models by a
-translation.
+frame is already orthonormal.  ``model._centered(points, volume)`` moves a
+query's points by an isometry of the model to where the jets keep the most
+digits: each model takes the first point to the origin, the flat models by
+a translation, which leaves their coordinate frame unchanged as well.
 """
 
 import cmath
@@ -48,23 +48,26 @@ class KernelJet:
 
     * ``s`` = E[F(z) conj(F(w))], the normalized kernel S(z, w) / sqrt(S(z, z) S(w, w));
     * ``grad[j]`` = E[F(z) conj(DF_j(w))];
-    * ``hess[i, j]`` = E[DF_i(z) conj(DF_j(w))].
+    * ``hess[i, j]`` = E[DF_i(z) conj(DF_j(w))];
+    * ``grad_z[i]`` = E[DF_i(z) conj(F(w))], so the jet at (w, z) is
+      (conj(s), conj(grad_z), hess^*, conj(grad)).
 
     Flat models, with d = z - w: s = exp(N (z . conj(w)) - N |z|^2 / 2 - N |w|^2 / 2),
-    grad = N s d and hess = N s (I - N conj(d) d^T).
+    grad = N s d, grad_z = -N s conj(d) and hess = N s (I - N conj(d) d^T).
 
     Fubini-Study, in homogeneous coordinates: Z = (1, z) / sqrt(1 + |z|^2)
     = (alpha, zeta) is a unit vector of C^(m+1), and the m columns of
     E_z = [-conj(zeta)^T ; I - zeta zeta^* / (1 + alpha)] complete it to a
     unitary matrix; they are the orthonormal frame at z.  With
     t = Z . conj(W), u = E_z^T conj(W) and v = E_w^* Z:
-    s = t^N, grad = N t^(N-1) v and
+    s = t^N, grad = N t^(N-1) v, grad_z = N t^(N-1) u and
     hess = N t^(N-1) E_z^T conj(E_w) + N (N-1) t^(N-2) u v^T.
     """
 
     s: complex
-    grad: np.ndarray   # shape (m,)
-    hess: np.ndarray   # shape (m, m)
+    grad: np.ndarray     # shape (m,)
+    hess: np.ndarray     # shape (m, m)
+    grad_z: np.ndarray   # shape (m,)
 
 
 def _check_model(m, N):
@@ -126,9 +129,9 @@ class FubiniStudy:
         hess -= w.conj()[:, None] * ((first * c_w) * w)
         hess += u[:, None] * (second * v)
         hess.flat[::len(z) + 1] += first
-        return KernelJet(s=s, grad=first * v, hess=hess)
+        return KernelJet(s=s, grad=first * v, hess=hess, grad_z=first * u)
 
-    def _centered(self, points):
+    def _centered(self, points, volume):
         """The points moved by the unitary of C^(m+1) that takes the first one to the origin.
 
         The affine frame twists near the hyperplane at infinity: there,
@@ -139,8 +142,11 @@ class FubiniStudy:
         E_z^* W / (Z^* W) = -(d - c_z (z^* d) z) / (alpha_z (1 + z^* w)),
         formed from d = z - w as in ``_jet``.  If some point lies more than
         a quarter turn from the first (it would land outside the unit ball,
-        at infinity if antipodal), the points are returned as given.
+        at infinity if antipodal), or per unit coordinate volume, the points
+        are returned as given.
         """
+        if volume != "metric":
+            return points
         z = points[0]
         alpha, c = _frame_scalars(1.0 + float(np.vdot(z, z).real))
         moved = []
@@ -178,8 +184,8 @@ class HeisenbergLevel:
     def _jet(self, z, w):
         """Jet from d = z - w alone, so it is exactly translation covariant.
 
-        s = exp(-N |d|^2 / 2 + i N Im(d . conj(w))), grad = N s d and
-        hess = N s (I - N conj(d) d^T).
+        s = exp(-N |d|^2 / 2 + i N Im(d . conj(w))), grad = N s d,
+        grad_z = -N s conj(d) and hess = N s (I - N conj(d) d^T).
         """
         N = self.N
         d = z - w
@@ -188,9 +194,9 @@ class HeisenbergLevel:
         ns = N * s
         hess = ((-N * ns) * dc)[:, None] * d
         hess.flat[::len(d) + 1] += ns
-        return KernelJet(s=s, grad=ns * d, hess=hess)
+        return KernelJet(s=s, grad=ns * d, hess=hess, grad_z=-ns * dc)
 
-    def _centered(self, points):
+    def _centered(self, points, volume):
         """The points translated to put the first at the origin: pair phases grow with |w|."""
         return [w - points[0] for w in points]
 
@@ -206,16 +212,19 @@ class HeisenbergLimit(HeisenbergLevel):
     N: int = field(default=1, init=False, repr=False)
 
 
-def _as_point(z, m):
+def _as_points(z, m):
     z = np.atleast_1d(np.asarray(z, dtype=complex))
-    if z.shape != (m,):
-        raise ValueError(f"expected a point in C^{m}, got shape {z.shape}")
+    if z.shape[-1] != m:
+        raise DomainError(f"expected points in C^{m}, got shape {z.shape}")
     return z
 
 
 def kernel_jet(model, z, w):
-    """Jet (s, grad, hess) of the model's normalized kernel at (z, w); see KernelJet."""
-    return model._jet(_as_point(z, model.m), _as_point(w, model.m))
+    """Normalized-kernel jet at (z, w), which also gives it at (w, z); see KernelJet."""
+    z, w = _as_points(z, model.m), _as_points(w, model.m)
+    if z.ndim != 1 or w.ndim != 1:
+        raise DomainError("kernel_jet takes one point z and one point w")
+    return model._jet(z, w)
 
 
 def fs_scaled_szego(N, m, u, v):
@@ -224,35 +233,33 @@ def fs_scaled_szego(N, m, u, v):
     Evaluated on the circle-bundle lift with phases zero; the factorial
     ratio (N+m)!/N! is accumulated in the log domain so levels up to ~1e4
     do not overflow.  Converges to ``heisenberg_limit_kernel`` at rate
-    N^(-1/2) on compact windows.
+    N^(-1/2) on compact windows.  Like ``heisenberg_limit_kernel``, it takes
+    points along the last axis of u and v, broadcast against each other.
     """
     if N < 1:
         raise DomainError("level N must be a positive integer")
-    u = _as_point(u, m)
-    v = _as_point(v, m)
+    u = _as_points(u, m)
+    v = _as_points(v, m)
     log_ratio = gammaln(N + m + 1) - gammaln(N + 1) - m * np.log(N)
     prefactor = np.exp(log_ratio) / np.pi ** m
-    pairing = u @ v.conj()
+    pairing = (u * v.conj()).sum(axis=-1)
     log_main = (
         N * np.log(1.0 + pairing / N)
-        - 0.5 * N * np.log1p((u @ u.conj()).real / N)
-        - 0.5 * N * np.log1p((v @ v.conj()).real / N)
+        - 0.5 * N * np.log1p((u * u.conj()).real.sum(axis=-1) / N)
+        - 0.5 * N * np.log1p((v * v.conj()).real.sum(axis=-1) / N)
     )
-    return complex(prefactor * np.exp(log_main))
+    return prefactor * np.exp(log_main)
 
 
 def heisenberg_limit_kernel(u, theta, v, phi):
     """Flat-model kernel pi^-m e^{i(theta-phi)} e^{i Im(u.conj(v))} e^{-|u-v|^2/2}."""
     u = np.atleast_1d(np.asarray(u, dtype=complex))
-    v = np.atleast_1d(np.asarray(v, dtype=complex))
-    if u.shape != v.shape:
-        raise ValueError("u and v must have the same dimension")
-    m = u.shape[0]
-    pairing = u @ v.conj()
+    v = _as_points(v, u.shape[-1])
+    m = u.shape[-1]
+    pairing = (u * v.conj()).sum(axis=-1)
     diff = u - v
-    return complex(
-        np.pi ** (-m)
-        * np.exp(1j * (theta - phi) + 1j * pairing.imag - 0.5 * (diff @ diff.conj()).real)
+    return np.pi ** (-m) * np.exp(
+        1j * (theta - phi) + 1j * pairing.imag - 0.5 * (diff * diff.conj()).real.sum(axis=-1)
     )
 
 

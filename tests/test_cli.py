@@ -4,11 +4,12 @@ import json
 import math
 from contextlib import nullcontext
 
+import numpy as np
 import pytest
 
 from zerocorr import kac_rice
 from zerocorr.cli import main, parse_grid, parse_points
-from zerocorr.kernels import FubiniStudy
+from zerocorr.kernels import FubiniStudy, fs_scaled_szego, heisenberg_limit_kernel
 
 
 def run_cli(capsys, *args):
@@ -196,6 +197,27 @@ class TestKernelCheckCommand:
         devs = [float(line.split(",")[1]) for line in lines[1:]]
         assert devs[1] < devs[0]
 
+    @pytest.mark.parametrize("m", [1, 3])
+    def test_rows_match_scalar_loop(self, capsys, m):
+        # Reference: the sup over every ordered pair of grid points, one
+        # scalar kernel call each.
+        levels, extent, steps = [64, 1000], 1.5, 4
+        grid = np.linspace(-extent, extent, steps)
+        points = [[complex(x, y)] + [0.0] * (m - 1) for x in grid for y in grid]
+        expected = [
+            max(abs(fs_scaled_szego(N, m, u, v) - heisenberg_limit_kernel(u, 0.0, v, 0.0))
+                for u in points for v in points)
+            for N in levels
+        ]
+        code, out, _ = run_cli(
+            capsys, "kernel-check", "--m", str(m), "--levels", "64..1000:2:log",
+            "--grid-extent", str(extent), "--grid-steps", str(steps),
+        )
+        assert code == 0
+        rows = [[float(x) for x in line.split(",")] for line in out.strip().split("\n")[1:]]
+        assert [row[0] for row in rows] == levels
+        assert np.allclose([row[1] for row in rows], expected, rtol=1e-15, atol=0.0)
+
 
 class TestBadArguments:
     # Each bad argument ends in one line on stderr: a ZerocorrError (exit 1)
@@ -218,6 +240,11 @@ class TestBadArguments:
         pytest.param(1, ["kernel-check", "--levels", "0..1:2"], id="level-grid-from-0"),
         pytest.param(1, ["kernel-check", "--grid-steps", "-1"], id="negative-grid-steps"),
         pytest.param(1, ["converge", "--levels", "64..64:1"], id="one-level"),
+        pytest.param(1, ["connected", "--m", "1", "--points", "0"], id="one-point-connected"),
+        pytest.param(1, ["correlate", "--model", "fs", "--N", "5", "--n", "2",
+                         "--points", "0;nan"], id="nan-point"),
+        pytest.param(1, ["correlate", "--model", "fs", "--N", "5", "--n", "2",
+                         "--points", "0;1e400"], id="overflowing-point"),
     ])
     def test_one_line_on_stderr(self, capsys, code, args):
         with pytest.raises(SystemExit) if code == 2 else nullcontext() as info:

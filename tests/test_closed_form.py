@@ -271,6 +271,13 @@ class TestDecayBound:
         with pytest.raises(SizeLimitExceeded):
             decay_bound([(0.0,)] * 6)
 
+    @pytest.mark.parametrize("points", [[], [(0.0,)]])
+    def test_needs_two_points(self, points):
+        # Fewer than two points have no connected correlation: a domain
+        # error, not the size cap.
+        with pytest.raises(DomainError):
+            decay_bound(points)
+
 
 def full_search_bound(points):
     """decay_bound over every multiplicity 0..2n per edge, not only 0..2."""

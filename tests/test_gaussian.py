@@ -166,6 +166,18 @@ class TestDetProductExpectation:
         with pytest.raises(ValueError):
             expectation_det_product(np.eye(8), 2, 2, 2)  # n*k*m, not n*m
 
+    @pytest.mark.parametrize("method", ["exact", "monte_carlo"])
+    @pytest.mark.parametrize("lam", [
+        [[2.0, 1.0], [0.0, 2.0]],
+        [[1.0, 0.0], [0.0, np.nan]],
+        [[1.0, np.inf], [np.inf, 1.0]],
+    ], ids=["non-hermitian", "nan", "inf"])
+    def test_bad_covariance(self, method, lam):
+        # Both methods check lam; Monte Carlo used to average draws from a
+        # Cholesky factor of the lower triangle alone.
+        with pytest.raises(DomainError):
+            expectation_det_product(np.array(lam), 2, 1, 1, method=method, samples=1000)
+
     @pytest.mark.parametrize("n", range(4, 9))
     def test_one_section_on_a_line_is_permanent(self, n):
         # k = m = 1: prod_p |a_p|^2 has expectation perm(lam) by Wick, at the

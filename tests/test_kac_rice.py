@@ -5,17 +5,24 @@ import time
 import numpy as np
 import pytest
 
-from zerocorr import closed_form
+from zerocorr import closed_form, kac_rice
 from zerocorr.errors import DomainError, NearSingular, SizeLimitExceeded
 from zerocorr.kac_rice import (
     CorrelationQuery,
+    CovarianceBlocks,
     assemble_blocks,
     correlation,
     jet_covariance,
     normalized_correlation,
     one_point_density,
 )
-from zerocorr.kernels import FubiniStudy, HeisenbergLevel, HeisenbergLimit, fs_metric
+from zerocorr.kernels import (
+    FubiniStudy,
+    HeisenbergLevel,
+    HeisenbergLimit,
+    fs_metric,
+    kernel_jet,
+)
 
 
 def limit_query(points, k=1, **kwargs):
@@ -27,6 +34,27 @@ def limit_query(points, k=1, **kwargs):
 
 def collinear(n, m, r):
     return tuple(tuple([p * r] + [0.0] * (m - 1)) for p in range(n))
+
+
+def ordered_pair_blocks(query):
+    """Reference assembly: one jet for every ordered pair of points, n^2 in all."""
+    model = query.model
+    n, m = query.n, model.m
+    points = model._centered(query.points, query.volume)
+    a = np.zeros((n, n), dtype=complex)
+    b = np.zeros((n, n * m), dtype=complex)
+    c = np.zeros((n * m, n * m), dtype=complex)
+    for p in range(n):
+        for pp in range(n):
+            jet = kernel_jet(model, points[p], points[pp])
+            a[p, pp] = jet.s
+            b[p, pp * m:(pp + 1) * m] = jet.grad
+            c[p * m:(p + 1) * m, pp * m:(pp + 1) * m] = jet.hess
+    return CovarianceBlocks(a=a, b=b, c=c)
+
+
+ASSEMBLY_MODELS = [FubiniStudy(9, 1), FubiniStudy(40, 2), FubiniStudy(5, 3),
+                   HeisenbergLevel(151, 1), HeisenbergLevel(3, 2), HeisenbergLimit(4)]
 
 
 def cluster(n, m, seed):
@@ -110,13 +138,18 @@ class TestInvariances:
         # round differently in s(z, w) and s(w, z) unless the jets are taken
         # with the first point at the origin, and the jet covariance fails its
         # Hermitian check.  The gap left is the rounding of the shifted input.
+        # The flat coordinate frame is the same everywhere, so per unit
+        # coordinate volume the points are translated too, to the same value.
         model = HeisenbergLevel(151, 1)
         pts = [np.array([c]) / np.sqrt(151) for c in (0.0, 0.5, 0.25 + 0.3125j)]
         base, _ = normalized_correlation(CorrelationQuery(model, 3, 1, tuple(pts)))
-        moved, _ = normalized_correlation(
-            CorrelationQuery(model, 3, 1, tuple(p - 967.0 for p in pts))
+        shifted = tuple(p - 967.0 for p in pts)
+        moved, _ = normalized_correlation(CorrelationQuery(model, 3, 1, shifted))
+        coordinate, _ = normalized_correlation(
+            CorrelationQuery(model, 3, 1, shifted, volume="euclidean")
         )
         assert np.isclose(moved, base, rtol=1e-10, atol=0.0)
+        assert coordinate == moved
 
     def test_rotation(self):
         phase = np.exp(0.7j)
@@ -219,6 +252,58 @@ class TestJetCovariance:
         assert np.allclose(lam, lam.conj().T)
         assert np.all(np.linalg.eigvalsh(lam) > 0)
 
+    def test_asymmetry_is_near_singular(self):
+        # Hermitian blocks leave only a failed solve to break the symmetry.
+        blocks = CovarianceBlocks(a=np.eye(1), b=np.zeros((1, 2)),
+                                  c=np.array([[1.0, 1.0], [0.0, 1.0]]))
+        with pytest.raises(NearSingular):
+            jet_covariance(blocks)
+
+
+class TestAssembly:
+    @pytest.mark.parametrize("volume", ["metric", "euclidean"])
+    @pytest.mark.parametrize("model", ASSEMBLY_MODELS, ids=repr)
+    def test_blocks_hermitian(self, model, volume):
+        # Off the diagonal blocks, the (p', p) entries are the conjugates of
+        # the (p, p') ones.  The diagonal blocks of c are the jets at z = w,
+        # Hermitian to rounding: exactly for the flat models.
+        m = model.m
+        points = tuple(np.array(p) / np.sqrt(model.N) for p in cluster(4, m, seed=1))
+        blocks = assemble_blocks(CorrelationQuery(model, 4, 1, points, volume=volume))
+        assert np.array_equal(blocks.a, blocks.a.conj().T)
+        gap = blocks.c - blocks.c.conj().T
+        for p in range(4):
+            diagonal = gap[p * m:(p + 1) * m, p * m:(p + 1) * m]
+            assert np.abs(diagonal).max() <= 1e-15 * model.N
+            diagonal[...] = 0.0
+        assert not gap.any()
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 5])
+    def test_one_jet_per_point_pair(self, n, monkeypatch):
+        calls = []
+
+        def counting(model, z, w):
+            calls.append((z, w))
+            return kernel_jet(model, z, w)
+
+        monkeypatch.setattr(kac_rice, "kernel_jet", counting)
+        correlation(limit_query(collinear(n, 2, 0.7)))
+        assert len(calls) == n * (n + 1) // 2
+
+    @pytest.mark.parametrize("n", [2, 3])
+    @pytest.mark.parametrize("volume", ["metric", "euclidean"])
+    @pytest.mark.parametrize("model", ASSEMBLY_MODELS, ids=repr)
+    def test_matches_ordered_pair_assembly(self, model, volume, n, monkeypatch):
+        rng = np.random.default_rng([model.N, model.m, n])
+        shift = 3.0 * (rng.normal(size=model.m) + 1j * rng.normal(size=model.m))
+        points = tuple((np.array(p) + shift) / np.sqrt(model.N)
+                       for p in cluster(n, model.m, seed=int(rng.integers(100))))
+        query = CorrelationQuery(model, n, 1, points, volume=volume)
+        value, _ = correlation(query)
+        monkeypatch.setattr(kac_rice, "assemble_blocks", ordered_pair_blocks)
+        expected, _ = correlation(query)
+        assert value == pytest.approx(expected, rel=1e-13)
+
 
 class TestValidation:
     def test_codimension_range(self):
@@ -235,6 +320,17 @@ class TestValidation:
             query = CorrelationQuery(HeisenbergLimit(m), n, k, collinear(n, m, 1.0))
             with pytest.raises(SizeLimitExceeded):
                 correlation(query)
+
+    @pytest.mark.parametrize("point", [(0.0,), (0.0, 1.0, 2.0), ((0.0, 1.0),) * 2])
+    def test_point_dimension(self, point):
+        with pytest.raises(DomainError):
+            CorrelationQuery(model=HeisenbergLimit(2), n=1, k=1, points=(point,))
+
+    @pytest.mark.parametrize("model", [FubiniStudy(5, 1), HeisenbergLimit(1)], ids=repr)
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0.0, -np.inf)])
+    def test_non_finite_points(self, model, bad):
+        with pytest.raises(DomainError):
+            CorrelationQuery(model=model, n=2, k=1, points=((0.0,), (bad,)))
 
     def test_no_points(self):
         with pytest.raises(DomainError):

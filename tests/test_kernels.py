@@ -130,6 +130,20 @@ class TestJetValues:
         assert np.allclose(lvl.grad, lim.grad, rtol=1e-13)
         assert np.allclose(lvl.hess, lim.hess, rtol=1e-13)
 
+    @pytest.mark.parametrize("model", [FubiniStudy(40, 2), FubiniStudy(10 ** 4, 1),
+                                       HeisenbergLevel(151, 2), HeisenbergLimit(3)])
+    def test_reverse_gradient_is_swapped_gradient(self, model):
+        # grad_z at (z, w) is conj(grad) at (w, z), to the rounding with which
+        # s(z, w) matches conj(s(w, z)), out to |z| = 1e3 / sqrt(N).
+        rng = np.random.default_rng(model.m + model.N)
+        scale = np.sqrt(model.N)
+        for _ in range(200):
+            z = (rng.normal(size=model.m) + 1j * rng.normal(size=model.m)) / scale
+            z *= 10 ** rng.uniform(-2, 3)
+            w = z + rng.normal(size=model.m) / scale
+            jet, swapped = kernel_jet(model, z, w), kernel_jet(model, w, z)
+            assert np.allclose(jet.grad_z, swapped.grad.conj(), rtol=0.0, atol=1e-11 * scale)
+
 
 class TestJetDerivatives:
     @pytest.mark.parametrize("m", [1, 2])
@@ -201,6 +215,25 @@ class TestScaledSzego:
         errs = [abs(fs_scaled_szego(N, 1, u, v) - limit) for N in (100, 1600)]
         assert errs[1] < errs[0] / 3.0
 
+    @pytest.mark.parametrize("m", [1, 2, 4])
+    def test_arrays_match_scalar_calls(self, m):
+        # Points along the last axis broadcast; each entry is the scalar call.
+        rng = np.random.default_rng(m)
+        u = rng.normal(size=m) + 1j * rng.normal(size=m)
+        grid = rng.normal(size=(3, 5, m)) + 1j * rng.normal(size=(3, 5, m))
+        for N in (7, 900):
+            values = fs_scaled_szego(N, m, u, grid)
+            assert values.shape == (3, 5)
+            expected = [[fs_scaled_szego(N, m, u, v) for v in row] for row in grid]
+            assert isinstance(expected[0][0], complex)
+            assert np.allclose(values, expected, rtol=1e-15, atol=0.0)
+            assert np.allclose(fs_scaled_szego(N, m, grid, grid[::-1]),
+                               [[fs_scaled_szego(N, m, a, b) for a, b in zip(*rows)]
+                                for rows in zip(grid, grid[::-1])], rtol=1e-15, atol=0.0)
+        values = heisenberg_limit_kernel(u, 0.3, grid, -0.2)
+        expected = [[heisenberg_limit_kernel(u, 0.3, v, -0.2) for v in row] for row in grid]
+        assert np.allclose(values, expected, rtol=1e-15, atol=0.0)
+
     def test_limit_kernel_modulus(self):
         u, v = [1.0 + 1.0j], [0.5]
         val = heisenberg_limit_kernel(u, 0.3, v, -0.2)
@@ -222,6 +255,12 @@ class TestValidation:
     def test_point_shape(self):
         with pytest.raises(ValueError):
             kernel_jet(HeisenbergLimit(2), [1.0], [1.0, 2.0])
+        with pytest.raises(ValueError):
+            kernel_jet(HeisenbergLimit(1), [1.0], [[1.0], [2.0]])
+        with pytest.raises(ValueError):
+            fs_scaled_szego(5, 2, [1.0, 0.0], [[1.0, 2.0, 3.0]])
+        with pytest.raises(ValueError):
+            heisenberg_limit_kernel([1.0], 0.0, [1.0, 2.0], 0.0)
 
 
 class TestFsMetric:
