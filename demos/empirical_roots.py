@@ -8,7 +8,7 @@ kappa_11.  A short run (a few hundred samples) already shows the
 quadratic repulsion hole at small r and the slight overshoot near r ~ 2.
 
 Runtime is dominated by the window root finding; the sample count below
-keeps it to several seconds (about 7 s on a 2-core machine).
+keeps it to a few seconds (about 4 s on a 2-core machine).
 """
 
 import numpy as np

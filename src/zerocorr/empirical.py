@@ -17,7 +17,7 @@ MAX_WINDOW = 5.0
 LIMIT_INTENSITY = 1.0 / np.pi  # zeros per unit area in scaled coordinates
 RESIDUAL_RATIO = 1e-10  # polished |p(z)| over its termwise magnitude bound
 TAIL_RATIO = 1e-16  # truncated tail over the largest term on the certificate circle
-CERTIFICATE_FACTORS = (1.5, 1.3, 1.8)  # certificate radius over window radius, in order
+CERTIFICATE_FACTORS = (1.1, 1.3, 1.8)  # certificate radius over window radius, in order
 
 
 def worker_count():
@@ -49,25 +49,38 @@ def sample_su2_polynomial(N, seed, stream=0):
     return PolynomialSample(degree=N, coeffs=np.exp(half_log_binom) * c)
 
 
-def _polish(poly, roots, steps):
-    """Newton-polish roots of a highest-power-first polynomial, keeping the best."""
-    deriv = np.polyder(poly)
-    best = roots
-    best_res = np.abs(np.polyval(poly, best))
+def _polish(coeffs, roots, steps):
+    """Newton-polish roots of a lowest-power-first polynomial, keeping the best.
+
+    Returns the polished roots, their residuals |p(z)| and the termwise
+    magnitude bounds sum_j |c_j| |z|^j.  Each evaluation is one product
+    with the powers z^0 .. z^(n-2), n the coefficient count, so no
+    temporary exceeds the (n-1) x (n-1) companion matrix; the roots should
+    have modulus <= 1, where the powers cannot overflow.
+    """
+    lower = coeffs[1:]
+    slope_coeffs = np.arange(1, len(coeffs)) * lower
+
+    def value_and_slope(z):
+        powers = np.vander(z, len(lower), increasing=True)
+        return coeffs[0] + z * (powers @ lower), powers @ slope_coeffs
+
+    value, slope = value_and_slope(roots)
+    best, best_res = roots, np.abs(value)
     for _ in range(steps):
-        slope = np.polyval(deriv, roots)
-        slope = np.where(slope == 0, 1.0, slope)
-        roots = roots - np.polyval(poly, roots) / slope
-        res = np.abs(np.polyval(poly, roots))
+        roots = roots - value / np.where(slope == 0, 1.0, slope)
+        value, slope = value_and_slope(roots)
+        res = np.abs(value)
         improved = res < best_res
         best = np.where(improved, roots, best)
         best_res = np.where(improved, res, best_res)
-    bound = np.polyval(np.abs(poly), np.abs(best))
-    return best, best_res, bound
+    modulus = np.abs(best)
+    powers = np.vander(modulus, len(lower), increasing=True)
+    return best, best_res, np.abs(coeffs[0]) + modulus * (powers @ np.abs(lower))
 
 
-def _polish_all(poly, raw, steps):
-    """Polish raw roots of a highest-power-first polynomial.
+def _polish_all(coeffs, raw, steps):
+    """Polish raw roots of a lowest-power-first polynomial.
 
     Returns the polished roots and the worst residual ratio: |p(z)| over
     the termwise magnitude bound, maximized over the roots.  Roots of
@@ -78,12 +91,12 @@ def _polish_all(poly, raw, steps):
     out = np.empty_like(raw)
     worst = 0.0
     if inner.any():
-        polished, res, bound = _polish(poly, raw[inner], steps)
+        polished, res, bound = _polish(coeffs, raw[inner], steps)
         out[inner] = polished
         worst = max(worst, float((res / bound).max()))
     if (~inner).any():
         # z is a root of p iff 1/z is a root of the reversed polynomial
-        polished, res, bound = _polish(poly[::-1], 1.0 / raw[~inner], steps)
+        polished, res, bound = _polish(coeffs[::-1], 1.0 / raw[~inner], steps)
         out[~inner] = 1.0 / polished
         worst = max(worst, float((res / bound).max()))
     return out, worst
@@ -94,16 +107,20 @@ def _certified_window_roots(poly, radius, factor, steps):
 
     Returns None when the certificate fails.  With R = factor * radius and
     z = R zeta, the series is truncated at the lowest degree d whose exact
-    tail sum_{j>d} |a_j| R^j is below TAIL_RATIO of the largest term.  By
-    Rouche, p has as many zeros in |z| < R as the truncation P_d has in
+    tail sum_{j>d} |a_j| R^j is below TAIL_RATIO of the largest term; from
+    then on only the d + 1 scaled coefficients of the truncation P_d are
+    used.  By Rouche, p has as many zeros in |z| < R as P_d has in
     |zeta| < 1 whenever min |P_d| on the unit circle exceeds the tail plus
     the rounding of the scaling and of the evaluation.  That minimum is
     bounded below from FFT samples of P_d and P_d' with a second-derivative
     remainder on each arc, and the same bound makes the winding number of
     the samples the zero count K.  The companion roots of P_d inside the
-    unit disk are Newton-polished against the full p; they must pass the
-    residual certificate, stay inside |z| < R, be pairwise distinct, and
-    number exactly K.
+    unit disk are Newton-polished against P_d in the scaled chart.  Each
+    must pass the residual certificate of the full p: |P_d(zeta)| plus the
+    tail bound tails[d+1] |zeta|^(d+1) plus the scaling rounding, over the
+    termwise magnitude sum_j w_j |zeta|^j, at most RESIDUAL_RATIO.  They
+    must also stay inside |zeta| < 1, be pairwise distinct, and number
+    exactly K.
     """
     eps = np.finfo(float).eps
     R = factor * radius
@@ -137,15 +154,19 @@ def _certified_window_roots(poly, radius, factor, steps):
         return None
     count = int(round(np.angle(np.roll(values, -1) / values).sum() / (2.0 * np.pi)))
 
-    raw = R * np.roots(head[::-1])
-    raw = raw[np.abs(raw) < R]
-    roots, worst = _polish_all(poly, raw, steps)
-    if worst > RESIDUAL_RATIO or len(roots) != count or np.any(np.abs(roots) >= R):
+    raw = np.roots(head[::-1])
+    raw = raw[np.abs(raw) < 1.0]
+    zeta, res, bound = _polish(head, raw, steps)
+    modulus = np.abs(zeta)
+    residual = res + tails[d + 1] * modulus ** (d + 1) + scaling_error * bound
+    certified = len(zeta) == count and np.all(residual <= RESIDUAL_RATIO * bound)
+    if not certified or np.any(modulus >= 1.0):
         return None
     if count > 1:
-        gaps = np.abs(roots[:, None] - roots[None, :]) + np.eye(count) * R
-        if gaps.min() <= np.sqrt(eps) * R:
+        gaps = np.abs(zeta[:, None] - zeta[None, :]) + np.eye(count)
+        if gaps.min() <= np.sqrt(eps):
             return None
+    roots = R * zeta
     return roots[np.abs(roots) <= radius]
 
 
@@ -161,11 +182,13 @@ def polynomial_roots(sample, polish_steps=3, radius=None):
 
     With ``radius``, returns only the roots of modulus <= radius (window
     mode), in no particular order.  The polynomial is rescaled to a
-    certificate circle |z| = R a little beyond the window (R = 1.5
-    radius), its series truncated where the exact tail falls below 1e-16
-    of the largest term on that circle, and the companion roots of the
-    truncation inside the circle are Newton-polished against the full
-    polynomial under the same residual certificate.  A Rouche certificate
+    certificate circle |z| = R a little beyond the window (R = 1.1
+    radius), and its series truncated where the exact tail falls below
+    1e-16 of the largest term on that circle; after that only the
+    truncation's coefficients are used.  Its companion roots inside the
+    circle are Newton-polished against the truncation in the scaled chart,
+    and must pass the same residual certificate for the full polynomial,
+    with the exact tail bound added to the residual.  A Rouche certificate
     on |z| = R proves the count: the truncation bounded away from zero on
     the circle by more than the tail, and as many distinct polished roots
     inside R as its winding number.  If the certificate fails, it is
@@ -179,7 +202,8 @@ def polynomial_roots(sample, polish_steps=3, radius=None):
         effective -= 1
     if effective == 0:
         return np.zeros(0, dtype=complex)
-    poly = coeffs[: effective + 1][::-1]  # highest power first, for numpy
+    coeffs = coeffs[: effective + 1]
+    poly = coeffs[::-1]  # highest power first, for numpy
     if radius is not None:
         if not (np.isfinite(radius) and radius > 0):
             raise DomainError("radius must be positive and finite")
@@ -187,7 +211,7 @@ def polynomial_roots(sample, polish_steps=3, radius=None):
             roots = _certified_window_roots(poly, radius, factor, polish_steps)
             if roots is not None:
                 return roots
-    roots, worst = _polish_all(poly, np.roots(poly), polish_steps)
+    roots, worst = _polish_all(coeffs, np.roots(poly), polish_steps)
     if worst > RESIDUAL_RATIO:
         raise RootFindingFailed(f"worst polished residual ratio {worst:.3e}")
     return roots if radius is None else roots[np.abs(roots) <= radius]
@@ -283,20 +307,26 @@ def pair_correlation_estimate(N, samples, window, bins, seed, process="roots"):
     Each polynomial's roots are found in window mode
     (``polynomial_roots(sample, radius=tan(window / sqrt(N)))``): only the
     roots inside the window, from a truncated series on a certificate
-    circle 1.5 times the window's chart radius, with the root count
-    certified by Rouche and a fallback to the full companion solve when
-    the certificate fails.  This finds the same roots as the full solve,
-    so the histogram is the same, at a fraction of the cost.
+    circle 1.1 times the window's chart radius (then 1.3 and 1.8), polished
+    and certified against the truncation plus its exact tail bound, with
+    the root count certified by Rouche and a fallback to the full companion
+    solve when every certificate fails.  This finds the same roots as the
+    full solve, so the histogram is the same, at a fraction of the cost.
 
     ``process="poisson"`` replaces the roots by uniform points of the same
     intensity, for estimator calibration.  The standard error needs at least
-    two samples; fewer raise ``DomainError``.
+    two samples; fewer raise ``DomainError``, as do a window that is not
+    positive and finite and bin edges that are not finite, non-negative
+    and increasing, before any sample is drawn.
     """
     if samples < 2:
         raise DomainError(f"the pair estimate needs at least 2 samples, got {samples}")
+    if not (np.isfinite(window) and window > 0):
+        raise DomainError(f"window must be positive and finite, got {window}")
     bins = np.asarray(bins, dtype=float)
-    if bins.ndim != 1 or len(bins) < 2 or np.any(np.diff(bins) <= 0):
-        raise DomainError("bins must be increasing edges")
+    if (bins.ndim != 1 or len(bins) < 2 or not np.all(np.isfinite(bins))
+            or bins[0] < 0 or np.any(np.diff(bins) <= 0)):
+        raise DomainError("bins must be finite, non-negative, increasing edges")
     r_max = bins[-1]
     if window > MAX_WINDOW or r_max > window:
         raise WindowTooLarge(

@@ -1,7 +1,7 @@
 """Acceptance suite: ten end-to-end criteria, one pass/fail line each.
 
 Run with ``pytest tests/test_acceptance.py -v -s`` to see the per-criterion
-lines as they complete.  The empirical criterion takes about 80 s;
+lines as they complete.  The empirical criterion takes about 20 s;
 everything else finishes in well under two minutes combined.
 """
 

@@ -235,6 +235,9 @@ class TestBadArguments:
                          "--points", "0;x"], id="bad-point"),
         pytest.param(1, ["mc", "--N", "3000"], id="degree-3000"),
         pytest.param(1, ["mc", "--bins", "1..0.5:3"], id="decreasing-bins"),
+        pytest.param(1, ["mc", "--window", "nan", "--poisson"], id="nan-window-poisson"),
+        pytest.param(1, ["mc", "--window", "nan"], id="nan-window"),
+        pytest.param(1, ["mc", "--bins", "0.2..nan:3"], id="nan-bins"),
         pytest.param(2, ["kappa", "--r", "0..1:0"], id="empty-grid"),
         pytest.param(2, ["kappa", "--r", "0..1:2", "--seed", "3"], id="unused-seed"),
         pytest.param(1, ["kernel-check", "--levels", "0..1:2"], id="level-grid-from-0"),

@@ -101,6 +101,7 @@ class TestWindowRoots:
         (500, np.tan(4.4 / np.sqrt(500))),   # criterion-9 window
         (25, np.tan(1.0 / np.sqrt(25))),     # least degree for window 1: untruncated
         (30, 0.8),                           # certificate circles beyond |z| = 1
+        (200, np.tan(2.0 / np.sqrt(200))),
     ])
     def test_matches_full_solve(self, N, radius):
         for stream in range(20):
@@ -109,12 +110,16 @@ class TestWindowRoots:
             window = polynomial_roots(sample, radius=radius)
             assert np.all(np.abs(window) <= radius)
             assert_same_roots(window, full[np.abs(full) <= radius], 1e-12)
-            # the first certificate holds, so no fallback made these roots
-            first = empirical._certified_window_roots(
-                sample.coeffs[::-1], radius, CERTIFICATE_FACTORS[0], 3
-            )
-            assert first is not None
-            assert_same_roots(first, window, 0.0)
+            # a certificate, tried in order, holds and gives exactly these
+            # roots, so no fallback made them
+            for factor in CERTIFICATE_FACTORS:
+                certified = empirical._certified_window_roots(
+                    sample.coeffs[::-1], radius, factor, 3
+                )
+                if certified is not None:
+                    break
+            assert certified is not None
+            assert_same_roots(certified, window, 0.0)
 
     def test_root_on_certificate_circle_falls_back(self):
         radius = np.tan(4.4 / np.sqrt(500))
@@ -154,6 +159,30 @@ class TestWindowRoots:
 
         monkeypatch.setattr(np, "roots", drop_smallest)
         assert empirical._certified_window_roots(poly, radius, 1.5, 3) is None
+
+    def test_tail_enters_residual_certificate(self, monkeypatch):
+        # A coarse truncation: the roots polish to tiny residuals against
+        # P_d, but the tail bound on the full polynomial exceeds the
+        # residual certificate, so they are refused.
+        radius = np.tan(4.4 / np.sqrt(500))
+        poly = sample_su2_polynomial(500, seed=0).coeffs[::-1]
+        factor = CERTIFICATE_FACTORS[0]
+        assert empirical._certified_window_roots(poly, radius, factor, 3) is not None
+        ratios = []
+        polish = empirical._polish
+
+        def recording_polish(coeffs, roots, steps):
+            best, res, bound = polish(coeffs, roots, steps)
+            ratios.append((res / bound).max())
+            return best, res, bound
+
+        monkeypatch.setattr(empirical, "_polish", recording_polish)
+        monkeypatch.setattr(empirical, "TAIL_RATIO", 1e-6)
+        assert empirical._certified_window_roots(poly, radius, factor, 3) is None
+        assert ratios and max(ratios) < 1e-3 * empirical.RESIDUAL_RATIO
+        # only the residual certificate refused them
+        monkeypatch.setattr(empirical, "RESIDUAL_RATIO", 1.0)
+        assert empirical._certified_window_roots(poly, radius, factor, 3) is not None
 
     def test_bad_radius(self):
         sample = sample_su2_polynomial(20, seed=0)
@@ -227,6 +256,16 @@ class TestPairEstimator:
     def test_bad_bins(self):
         with pytest.raises(ValueError):
             pair_correlation_estimate(500, 10, 4.4, np.array([1.0, 0.5]), seed=0)
+
+    @pytest.mark.parametrize("window", [0.0, -1.0, np.inf, np.nan])
+    def test_bad_window(self, window):
+        with pytest.raises(DomainError):
+            pair_correlation_estimate(500, 10, window, np.array([0.5, 1.0]), seed=0)
+
+    @pytest.mark.parametrize("bins", [[0.2, np.nan], [np.nan, 1.0], [0.2, np.inf], [-2.0, 1.0]])
+    def test_bins_finite_and_non_negative(self, bins):
+        with pytest.raises(DomainError):
+            pair_correlation_estimate(500, 10, 4.4, np.array(bins), seed=0)
 
     @pytest.mark.parametrize("samples", [1, 0, -3])
     def test_needs_two_samples(self, samples):
